@@ -1,11 +1,8 @@
 #include "qpwm/tree/automaton.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <deque>
 #include <map>
-#include <tuple>
+#include <numeric>
 
 #include "qpwm/util/hash.h"
 
@@ -13,51 +10,94 @@ namespace qpwm {
 namespace {
 
 constexpr uint32_t kMaxStates = (1u << 21) - 3;
-// Partner slot in minimization signatures for an absent child.
-constexpr uint32_t kAbsentClass = UINT32_MAX;
+
+std::vector<uint32_t> IdentityClasses(uint32_t alphabet_size) {
+  QPWM_CHECK_LE(alphabet_size, kMaxAlphabetSize);
+  std::vector<uint32_t> out(alphabet_size);
+  std::iota(out.begin(), out.end(), 0u);
+  return out;
+}
+
+// Number of classes of a symbol -> class vector, which must be numbered by
+// first appearance.
+uint32_t CountClasses(const std::vector<uint32_t>& symbol_class) {
+  QPWM_CHECK_LE(symbol_class.size(), kMaxAlphabetSize);
+  uint32_t next = 0;
+  for (uint32_t c : symbol_class) {
+    QPWM_CHECK_LE(c, next);
+    if (c == next) ++next;
+  }
+  return next;
+}
+
+// (left, right) rows of a table: kAbsentChild plus every real state.
+size_t NumRows(uint32_t num_states) {
+  QPWM_CHECK_LE(num_states, kMaxStates);
+  return (size_t{num_states} + 1) * (size_t{num_states} + 1);
+}
+
+// Visits (left, right, class) in the order the bottom-up constructions
+// discover states: every class's leaf step, then for each state p in id
+// order and each class, (p, *), (*, p), and (p, q), (q, p) for every q <= p.
+// `num_states()` is re-read as `fn` discovers states.
+template <typename NumStates, typename Fn>
+void ForEachStep(uint32_t num_classes, NumStates&& num_states, Fn&& fn) {
+  for (uint32_t c = 0; c < num_classes; ++c) fn(kAbsentChild, kAbsentChild, c);
+  for (State p = 0; p < num_states(); ++p) {
+    for (uint32_t c = 0; c < num_classes; ++c) {
+      fn(p, kAbsentChild, c);
+      fn(kAbsentChild, p, c);
+      for (State q = 0; q <= p; ++q) {
+        fn(p, q, c);
+        if (q != p) fn(q, p, c);
+      }
+    }
+  }
+}
 
 }  // namespace
+
+uint32_t StateSetPool::Intern(const std::vector<State>& s) {
+  const uint64_t h = HashBytes(s.data(), s.size() * sizeof(State));
+  auto [first, last] = by_hash_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (std::equal(begin(it->second), end(it->second), s.begin(), s.end())) {
+      return it->second;
+    }
+  }
+  const auto id = static_cast<uint32_t>(size());
+  pool_.insert(pool_.end(), s.begin(), s.end());
+  offsets_.push_back(pool_.size());
+  by_hash_.emplace(h, id);
+  return id;
+}
 
 // ---------------------------------------------------------------------------
 // Dta
 // ---------------------------------------------------------------------------
 
 Dta::Dta(uint32_t num_states, uint32_t alphabet_size)
+    : Dta(num_states, IdentityClasses(alphabet_size)) {}
+
+Dta::Dta(uint32_t num_states, std::vector<uint32_t> symbol_class)
     : num_states_(num_states),
-      alphabet_size_(alphabet_size),
-      accepting_(num_states + 1, false) {
-  QPWM_CHECK_LE(num_states, kMaxStates);
-  QPWM_CHECK_LE(alphabet_size, kMaxStates);
+      num_classes_(CountClasses(symbol_class)),
+      symbol_class_(std::move(symbol_class)),
+      delta_(NumRows(num_states) * num_classes_, num_states),
+      accepting_(num_states + 1, false) {}
+
+size_t Dta::num_transitions() const {
+  return delta_.size() - static_cast<size_t>(std::count(delta_.begin(), delta_.end(), sink()));
 }
 
-uint64_t Dta::PackKey(State l, State r, uint32_t sym) {
-  uint64_t lv = (l == kAbsentChild) ? 0 : static_cast<uint64_t>(l) + 1;
-  uint64_t rv = (r == kAbsentChild) ? 0 : static_cast<uint64_t>(r) + 1;
-  return (lv << 42) | (rv << 21) | sym;
-}
-
-std::tuple<State, State, uint32_t> Dta::UnpackKey(uint64_t key) {
-  uint64_t lv = key >> 42;
-  uint64_t rv = (key >> 21) & ((1u << 21) - 1);
-  uint32_t sym = static_cast<uint32_t>(key & ((1u << 21) - 1));
-  State l = lv == 0 ? kAbsentChild : static_cast<State>(lv - 1);
-  State r = rv == 0 ? kAbsentChild : static_cast<State>(rv - 1);
-  return {l, r, sym};
-}
-
-void Dta::AddTransition(State left, State right, uint32_t sym, State to) {
-  QPWM_CHECK(left == kAbsentChild || left <= num_states_);
-  QPWM_CHECK(right == kAbsentChild || right <= num_states_);
-  QPWM_CHECK_LT(sym, alphabet_size_);
+void Dta::AddTransition(State left, State right, uint32_t cls, State to) {
+  QPWM_CHECK(left == kAbsentChild || left < num_states_);
+  QPWM_CHECK(right == kAbsentChild || right < num_states_);
+  QPWM_CHECK_LT(cls, num_classes_);
   QPWM_CHECK_LE(to, num_states_);
-  auto [it, inserted] = delta_.emplace(PackKey(left, right, sym), to);
-  QPWM_CHECK(inserted ? true : it->second == to);
-}
-
-State Dta::Step(State left, State right, uint32_t sym) const {
-  if (left == sink() || right == sink()) return sink();
-  auto it = delta_.find(PackKey(left, right, sym));
-  return it == delta_.end() ? sink() : it->second;
+  State& slot = delta_[Slot(left, right, cls)];
+  QPWM_CHECK(slot == sink() || slot == to);
+  slot = to;
 }
 
 std::vector<State> Dta::Run(const BinaryTree& t,
@@ -83,143 +123,92 @@ Dta Dta::Complement() const {
 }
 
 Dta Dta::Product(const Dta& a, const Dta& b, bool conjunction) {
-  QPWM_CHECK_EQ(a.alphabet_size_, b.alphabet_size_);
-  const uint32_t alphabet = a.alphabet_size_;
+  QPWM_CHECK_EQ(a.alphabet_size(), b.alphabet_size());
+
+  // Joint classes (class in a, class in b), numbered by first appearance.
+  std::vector<uint32_t> symbol_class(a.alphabet_size());
+  std::vector<std::pair<uint32_t, uint32_t>> joint;
+  std::unordered_map<uint64_t, uint32_t> joint_id;
+  for (uint32_t sym = 0; sym < symbol_class.size(); ++sym) {
+    const uint64_t key = (static_cast<uint64_t>(a.symbol_class_[sym]) << 32) |
+                         b.symbol_class_[sym];
+    auto [it, inserted] = joint_id.emplace(key, static_cast<uint32_t>(joint.size()));
+    if (inserted) joint.emplace_back(a.symbol_class_[sym], b.symbol_class_[sym]);
+    symbol_class[sym] = it->second;
+  }
+  const auto num_joint = static_cast<uint32_t>(joint.size());
 
   // Reachable pairs, interned. The pair (sink_a, sink_b) is the result's
   // implicit sink and is never interned.
   std::unordered_map<uint64_t, State> intern;
   std::vector<std::pair<State, State>> pairs;
-  std::deque<State> worklist;
-
-  auto pack = [](State qa, State qb) {
-    return (static_cast<uint64_t>(qa) << 32) | qb;
-  };
   auto intern_pair = [&](State qa, State qb) -> State {
-    auto [it, inserted] = intern.emplace(pack(qa, qb), static_cast<State>(pairs.size()));
-    if (inserted) {
-      pairs.emplace_back(qa, qb);
-      worklist.push_back(it->second);
-    }
+    auto [it, inserted] = intern.emplace((static_cast<uint64_t>(qa) << 32) | qb,
+                                         static_cast<State>(pairs.size()));
+    if (inserted) pairs.emplace_back(qa, qb);
     return it->second;
   };
+  auto num_pairs = [&] { return static_cast<State>(pairs.size()); };
 
-  struct Pending {
-    State l, r;
-    uint32_t sym;
-    State to;
-  };
-  std::vector<Pending> transitions;
+  // Walking one representative per joint class, in ascending order of its
+  // smallest symbol, discovers pairs in the order a per-symbol walk would: a
+  // later symbol of a visited class only repeats steps already taken. Step
+  // targets are kept in visit order and written once the state count is
+  // known.
+  std::vector<State> steps;
+  ForEachStep(num_joint, num_pairs, [&](State l, State r, uint32_t j) {
+    State la = l == kAbsentChild ? kAbsentChild : pairs[l].first;
+    State lb = l == kAbsentChild ? kAbsentChild : pairs[l].second;
+    State ra = r == kAbsentChild ? kAbsentChild : pairs[r].first;
+    State rb = r == kAbsentChild ? kAbsentChild : pairs[r].second;
+    State ta = a.StepClass(la, ra, joint[j].first);
+    State tb = b.StepClass(lb, rb, joint[j].second);
+    const bool to_sink = ta == a.sink() && tb == b.sink();
+    steps.push_back(to_sink ? kAbsentChild : intern_pair(ta, tb));
+  });
 
-  auto step_pair = [&](State la, State lb, State ra, State rb, uint32_t sym,
-                       State lhs_id, State rhs_id) {
-    State ta = a.Step(la, ra, sym);
-    State tb = b.Step(lb, rb, sym);
-    if (ta == a.sink() && tb == b.sink()) return;  // implicit result sink
-    State to = intern_pair(ta, tb);
-    transitions.push_back({lhs_id, rhs_id, sym, to});
-  };
-
-  // Leaf seeds.
-  for (uint32_t sym = 0; sym < alphabet; ++sym) {
-    step_pair(kAbsentChild, kAbsentChild, kAbsentChild, kAbsentChild, sym,
-              kAbsentChild, kAbsentChild);
-  }
-
-  // Expansion: combine each newly discovered pair with everything known.
-  size_t processed = 0;
-  while (processed < pairs.size()) {
-    State p = static_cast<State>(processed++);
-    auto [pa, pb] = pairs[p];
-    for (uint32_t sym = 0; sym < alphabet; ++sym) {
-      step_pair(pa, pb, kAbsentChild, kAbsentChild, sym, p, kAbsentChild);
-      step_pair(kAbsentChild, kAbsentChild, pa, pb, sym, kAbsentChild, p);
-      // Note: pairs.size() grows during iteration; q < pairs.size() reads the
-      // live size so every (p, q) combo is eventually covered by the outer
-      // loop reaching q and re-combining with all earlier pairs, p included.
-      for (State q = 0; q <= p; ++q) {
-        auto [qa, qb] = pairs[q];
-        step_pair(pa, pb, qa, qb, sym, p, q);
-        if (q != p) step_pair(qa, qb, pa, pb, sym, q, p);
-      }
-    }
-  }
-
-  Dta out(static_cast<uint32_t>(pairs.size()), alphabet);
-  for (const Pending& tr : transitions) out.AddTransition(tr.l, tr.r, tr.sym, tr.to);
+  Dta out(num_pairs(), std::move(symbol_class));
+  size_t next = 0;
+  ForEachStep(num_joint, num_pairs, [&](State l, State r, uint32_t j) {
+    const State to = steps[next++];
+    if (to != kAbsentChild) out.delta_[out.Slot(l, r, j)] = to;
+  });
+  auto combine = [&](bool x, bool y) { return conjunction ? (x && y) : (x || y); };
   for (State q = 0; q < pairs.size(); ++q) {
-    bool acc_a = a.IsAccepting(pairs[q].first);
-    bool acc_b = b.IsAccepting(pairs[q].second);
-    out.SetAccepting(q, conjunction ? (acc_a && acc_b) : (acc_a || acc_b));
+    out.SetAccepting(q, combine(a.IsAccepting(pairs[q].first), b.IsAccepting(pairs[q].second)));
   }
-  bool sink_acc_a = a.IsAccepting(a.sink());
-  bool sink_acc_b = b.IsAccepting(b.sink());
-  out.SetAccepting(out.sink(),
-                   conjunction ? (sink_acc_a && sink_acc_b) : (sink_acc_a || sink_acc_b));
+  out.SetAccepting(out.sink(), combine(a.IsAccepting(a.sink()), b.IsAccepting(b.sink())));
   return out;
 }
 
-bool Dta::IsEmpty() const {
-  // Forward closure from leaf transitions; the sink is reachable on every
-  // nonempty alphabet (a one-node tree whose leaf key is missing — or, if
-  // all leaf keys exist, it may still be unreachable, so seed only real
-  // reachability plus the sink when some leaf key is absent).
-  std::vector<bool> reachable(num_states_ + 1, false);
-  size_t leaf_keys = 0;
-  ForEachTransition([&](State l, State r, uint32_t, State to) {
-    if (l == kAbsentChild && r == kAbsentChild) {
-      reachable[to] = true;
-      ++leaf_keys;
-    }
-  });
-  if (leaf_keys < alphabet_size_) reachable[sink()] = true;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ForEachTransition([&](State l, State r, uint32_t, State to) {
-      bool l_ok = l == kAbsentChild || reachable[l];
-      bool r_ok = r == kAbsentChild || reachable[r];
-      if (l_ok && r_ok && !reachable[to]) {
-        reachable[to] = true;
-        changed = true;
-      }
-    });
-    // Sink-involving parents: any reachable state can pair with the sink
-    // (or have a missing key) and fall into the sink.
-    if (!reachable[sink()]) {
-      // The sink becomes reachable as soon as some (l, r, sym) combination
-      // of reachable states has no stored transition. Checking that exactly
-      // is as costly as completing the table; over-approximating the other
-      // way (never via missing keys) would be unsound for emptiness when the
-      // sink accepts. We instead check exhaustively but lazily:
-      std::vector<State> live;
-      for (State q = 0; q < num_states_; ++q) {
-        if (reachable[q]) live.push_back(q);
-      }
-      std::vector<State> children = live;
-      children.push_back(kAbsentChild);
-      bool sink_hit = false;
-      for (State l : children) {
-        for (State r : children) {
-          if (l == kAbsentChild && r == kAbsentChild) continue;
-          for (uint32_t sym = 0; sym < alphabet_size_ && !sink_hit; ++sym) {
-            if (delta_.find(PackKey(l, r, sym)) == delta_.end()) sink_hit = true;
+std::vector<State> Dta::LiveChildren(bool& sink_reached) const {
+  std::vector<bool> seen(num_states_, false);
+  std::vector<State> live{kAbsentChild};
+  sink_reached = false;
+  for (size_t known = 0; known < live.size(); ++known) {
+    // Pair the newly known child with every known one (itself included).
+    const State x = live[known];
+    for (size_t i = 0; i <= known; ++i) {
+      for (uint32_t cls = 0; cls < num_classes_; ++cls) {
+        for (State to : {StepClass(x, live[i], cls), StepClass(live[i], x, cls)}) {
+          if (to == sink()) {
+            sink_reached = true;
+          } else if (!seen[to]) {
+            seen[to] = true;
+            live.push_back(to);
           }
-          if (sink_hit) break;
         }
-        if (sink_hit) break;
-      }
-      if (sink_hit) {
-        reachable[sink()] = true;
-        changed = true;
       }
     }
   }
-  for (State q = 0; q <= num_states_; ++q) {
-    if (reachable[q] && accepting_[q]) return false;
-  }
-  return true;
+  return live;
+}
+
+bool Dta::IsEmpty() const {
+  bool sink_reached = false;
+  const std::vector<State> live = LiveChildren(sink_reached);
+  if (sink_reached && accepting_[sink()]) return false;
+  return std::none_of(live.begin() + 1, live.end(), [&](State q) { return accepting_[q]; });
 }
 
 bool Dta::Equivalent(const Dta& a, const Dta& b) {
@@ -231,143 +220,200 @@ bool Dta::Equivalent(const Dta& a, const Dta& b) {
 }
 
 Nta Dta::ToNta() const {
-  Nta out(num_states_, alphabet_size_);
-  ForEachTransition([&](State l, State r, uint32_t sym, State to) {
-    out.AddTransition(l, r, sym, to);
-  });
-  for (State q = 0; q <= num_states_; ++q) out.SetAccepting(q, accepting_[q]);
-  return out;
-}
-
-Dta Dta::RemapSymbols(uint32_t new_alphabet_size,
-                      const std::vector<std::vector<uint32_t>>& new_syms) const {
-  QPWM_CHECK_EQ(new_syms.size(), alphabet_size_);
-  Dta out(num_states_, new_alphabet_size);
-  ForEachTransition([&](State l, State r, uint32_t sym, State to) {
-    for (uint32_t ns : new_syms[sym]) out.AddTransition(l, r, ns, to);
-  });
+  Nta out(num_states_, symbol_class_);
+  // Target set q is {q}.
+  for (State q = 0; q < num_states_; ++q) out.targets_.Intern({q});
+  for (size_t slot = 0; slot < delta_.size(); ++slot) {
+    if (delta_[slot] != sink()) out.delta_[slot] = delta_[slot];
+  }
   out.accepting_ = accepting_;
   return out;
 }
 
-namespace {
+Dta Dta::RemapSymbols(const std::vector<uint32_t>& source) const {
+  // Old classes renumbered by first appearance among the new symbols.
+  std::vector<uint32_t> renum(num_classes_, UINT32_MAX);
+  std::vector<uint32_t> old_class;  // new class -> old class
+  std::vector<uint32_t> symbol_class(source.size());
+  for (size_t t = 0; t < source.size(); ++t) {
+    QPWM_CHECK_LT(source[t], alphabet_size());
+    const uint32_t old = symbol_class_[source[t]];
+    if (renum[old] == UINT32_MAX) {
+      renum[old] = static_cast<uint32_t>(old_class.size());
+      old_class.push_back(old);
+    }
+    symbol_class[t] = renum[old];
+  }
+  Dta out(num_states_, std::move(symbol_class));
+  out.delta_ = SelectColumns(old_class);
+  out.accepting_ = accepting_;
+  return out;
+}
 
-// Minimization signature entry: (side, sym, partner class, target class).
-using SigEntry = std::tuple<uint8_t, uint32_t, uint32_t, uint32_t>;
+std::vector<State> Dta::SelectColumns(const std::vector<uint32_t>& columns) const {
+  const size_t k = columns.size();
+  std::vector<State> table(NumRows(num_states_) * k);
+  for (size_t row = 0; row < NumRows(num_states_); ++row) {
+    for (size_t c = 0; c < k; ++c) table[row * k + c] = delta_[row * num_classes_ + columns[c]];
+  }
+  return table;
+}
 
-}  // namespace
+void Dta::MergeEqualClasses() {
+  const size_t rows = NumRows(num_states_);
+  std::map<std::vector<State>, uint32_t> id_of;  // column -> merged class
+  std::vector<uint32_t> merged(num_classes_);
+  std::vector<uint32_t> kept;  // merged class -> first old class
+  std::vector<State> column(rows);
+  for (uint32_t c = 0; c < num_classes_; ++c) {
+    for (size_t row = 0; row < rows; ++row) column[row] = delta_[row * num_classes_ + c];
+    auto [it, inserted] = id_of.emplace(column, static_cast<uint32_t>(kept.size()));
+    if (inserted) kept.push_back(c);
+    merged[c] = it->second;
+  }
+  if (kept.size() == num_classes_) return;
+
+  // Merged ids follow the old class order, hence first appearance.
+  delta_ = SelectColumns(kept);
+  for (uint32_t& c : symbol_class_) c = merged[c];
+  num_classes_ = static_cast<uint32_t>(kept.size());
+}
 
 Dta Dta::Minimize() const {
   const uint32_t n = num_states_ + 1;  // including sink (last id)
 
-  // --- Reachability (forward, from leaf transitions). Sink always reachable.
+  // --- Reachability. `live` lists kAbsentChild and the reachable real
+  // states: the children whose transitions count below. The sink always
+  // counts as reachable.
+  bool sink_reached = false;
+  const std::vector<State> live = LiveChildren(sink_reached);
   std::vector<bool> reachable(n, false);
   reachable[sink()] = true;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ForEachTransition([&](State l, State r, uint32_t sym, State to) {
-      (void)sym;
-      bool l_ok = l == kAbsentChild || reachable[l];
-      bool r_ok = r == kAbsentChild || reachable[r];
-      if (l_ok && r_ok && !reachable[to]) {
-        reachable[to] = true;
-        changed = true;
-      }
-    });
-  }
+  for (size_t i = 1; i < live.size(); ++i) reachable[live[i]] = true;
 
   // --- Partition refinement. Unreachable states are parked in a throwaway
-  // class that never constrains anything (their transitions are ignored).
-  std::vector<uint32_t> cls(n);
+  // block that never constrains anything (their transitions are ignored).
+  std::vector<uint32_t> block(n);
   for (State q = 0; q < n; ++q) {
-    cls[q] = !reachable[q] ? 2u : (accepting_[q] ? 1u : 0u);
+    block[q] = !reachable[q] ? 2u : (accepting_[q] ? 1u : 0u);
   }
-  size_t num_classes = 3;
+  size_t num_blocks = 3;
+
+  // A state's signature: the sorted set of its roles as a child of a live
+  // transition, packed as (class << 1 | side, partner block + 1 or 0 for an
+  // absent partner, target block) in 22 + 21 + 21 bits. Targets in the
+  // sink's block are skipped: those are indistinguishable from missing
+  // transitions.
+  std::vector<uint64_t> sig;
+  auto signature = [&](State q) {
+    sig.clear();
+    if (q == sink()) return;  // the sink is never a stored child
+    const uint32_t sink_block = block[sink()];
+    for (State partner : live) {
+      const uint64_t pb = partner == kAbsentChild ? 0 : block[partner] + 1;
+      for (uint32_t cls = 0; cls < num_classes_; ++cls) {
+        const State as_left = delta_[Slot(q, partner, cls)];
+        const State as_right = delta_[Slot(partner, q, cls)];
+        if (block[as_left] != sink_block) {
+          sig.push_back((uint64_t{cls} << 43) | (pb << 21) | block[as_left]);
+        }
+        if (block[as_right] != sink_block) {
+          sig.push_back((uint64_t{cls} << 43) | (uint64_t{1} << 42) | (pb << 21) |
+                        block[as_right]);
+        }
+      }
+    }
+    std::sort(sig.begin(), sig.end());
+    sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
+  };
 
   for (;;) {
-    // Build signatures from stored transitions (skipping sink-class targets:
-    // those are indistinguishable from missing transitions).
-    const uint32_t sink_cls = cls[sink()];
-    std::vector<std::vector<SigEntry>> sig(n);
-    ForEachTransition([&](State l, State r, uint32_t sym, State to) {
-      bool l_ok = l == kAbsentChild || reachable[l];
-      bool r_ok = r == kAbsentChild || reachable[r];
-      if (!l_ok || !r_ok) return;
-      if (cls[to] == sink_cls) return;
-      uint32_t lc = l == kAbsentChild ? kAbsentClass : cls[l];
-      uint32_t rc = r == kAbsentChild ? kAbsentClass : cls[r];
-      if (l != kAbsentChild) sig[l].emplace_back(0, sym, rc, cls[to]);
-      if (r != kAbsentChild) sig[r].emplace_back(1, sym, lc, cls[to]);
-    });
-
-    std::map<std::pair<uint32_t, std::vector<SigEntry>>, uint32_t> next_ids;
+    // New block ids by first appearance in state order; exact matching of
+    // (block, signature) against each new block's first state, behind a
+    // hash.
+    std::unordered_multimap<uint64_t, uint32_t> by_hash;
+    std::vector<uint32_t> rep_block;  // new block -> old block
+    std::vector<uint64_t> rep_sig;    // new blocks' signatures, flat
+    std::vector<size_t> rep_begin{0};
     std::vector<uint32_t> next(n);
     for (State q = 0; q < n; ++q) {
-      if (!reachable[q]) {
-        next[q] = UINT32_MAX;  // placeholder, remapped below
-        continue;
+      if (!reachable[q]) continue;
+      signature(q);
+      const uint64_t h =
+          HashCombine(block[q], HashBytes(sig.data(), sig.size() * sizeof(uint64_t)));
+      uint32_t id = UINT32_MAX;
+      auto [first, last] = by_hash.equal_range(h);
+      for (auto it = first; it != last && id == UINT32_MAX; ++it) {
+        const uint32_t b = it->second;
+        if (rep_block[b] == block[q] &&
+            std::equal(sig.begin(), sig.end(), rep_sig.begin() + rep_begin[b],
+                       rep_sig.begin() + rep_begin[b + 1])) {
+          id = b;
+        }
       }
-      auto& s = sig[q];
-      std::sort(s.begin(), s.end());
-      s.erase(std::unique(s.begin(), s.end()), s.end());
-      auto key = std::make_pair(cls[q], std::move(s));
-      auto [it, inserted] =
-          next_ids.emplace(std::move(key), static_cast<uint32_t>(next_ids.size()));
-      (void)inserted;
-      next[q] = it->second;
+      if (id == UINT32_MAX) {
+        id = static_cast<uint32_t>(rep_block.size());
+        rep_block.push_back(block[q]);
+        rep_sig.insert(rep_sig.end(), sig.begin(), sig.end());
+        rep_begin.push_back(rep_sig.size());
+        by_hash.emplace(h, id);
+      }
+      next[q] = id;
     }
-    uint32_t junk = static_cast<uint32_t>(next_ids.size());
+    const auto junk = static_cast<uint32_t>(rep_block.size());
     for (State q = 0; q < n; ++q) {
       if (!reachable[q]) next[q] = junk;
     }
-    size_t new_count = next_ids.size() + 1;
-    bool stable = new_count == num_classes;
-    cls = std::move(next);
-    num_classes = new_count;
+    const size_t new_count = rep_block.size() + 1;
+    const bool stable = new_count == num_blocks;
+    block = std::move(next);
+    num_blocks = new_count;
     if (stable) break;
   }
 
-  // --- Rebuild: sink's class becomes the new sink. Classes renumbered so the
-  // sink class lands last; the junk class collapses into the sink as well
-  // (unreachable states have no observable behavior).
-  const uint32_t sink_cls = cls[sink()];
-  uint32_t junk_cls = UINT32_MAX;  // class of unreachable states, if any
+  // --- Rebuild: the sink's block becomes the new sink. Blocks renumbered so
+  // the sink block lands last; the junk block collapses into the sink as
+  // well (unreachable states have no observable behavior).
+  const uint32_t sink_block = block[sink()];
+  uint32_t junk_block = UINT32_MAX;  // block of unreachable states, if any
   for (State q = 0; q < n; ++q) {
     if (!reachable[q]) {
-      junk_cls = cls[q];
+      junk_block = block[q];
       break;
     }
   }
 
-  std::vector<uint32_t> renum(num_classes + 1, UINT32_MAX);
+  std::vector<uint32_t> renum(num_blocks + 1, UINT32_MAX);
   uint32_t next_id = 0;
   for (State q = 0; q < n; ++q) {
-    uint32_t c = cls[q];
-    if (c == sink_cls || c == junk_cls) continue;
-    if (renum[c] == UINT32_MAX) renum[c] = next_id++;
+    uint32_t b = block[q];
+    if (b == sink_block || b == junk_block) continue;
+    if (renum[b] == UINT32_MAX) renum[b] = next_id++;
   }
   const uint32_t new_real = next_id;  // new sink id == new_real
-  auto map_cls = [&](uint32_t c) {
-    return (c == sink_cls || c == junk_cls) ? new_real : renum[c];
+  auto map_state = [&](State q) {
+    if (q == kAbsentChild) return kAbsentChild;
+    const uint32_t b = block[q];
+    return (b == sink_block || b == junk_block) ? new_real : renum[b];
   };
 
-  Dta out(new_real, alphabet_size_);
-  std::unordered_map<uint64_t, State> dedup;
-  ForEachTransition([&](State l, State r, uint32_t sym, State to) {
-    bool l_ok = l == kAbsentChild || reachable[l];
-    bool r_ok = r == kAbsentChild || reachable[r];
-    if (!l_ok || !r_ok) return;
-    if (map_cls(cls[to]) == new_real) return;  // to-sink: leave implicit
-    State nl = l == kAbsentChild ? kAbsentChild : map_cls(cls[l]);
-    State nr = r == kAbsentChild ? kAbsentChild : map_cls(cls[r]);
-    if (nl == new_real || nr == new_real) return;  // from-sink: absorbed
-    out.AddTransition(nl, nr, sym, map_cls(cls[to]));
-  });
+  Dta out(new_real, symbol_class_);
+  for (State l : live) {
+    for (State r : live) {
+      const State nl = map_state(l);
+      const State nr = map_state(r);
+      if (nl == new_real || nr == new_real) continue;  // from-sink: absorbed
+      for (uint32_t cls = 0; cls < num_classes_; ++cls) {
+        const State to = map_state(StepClass(l, r, cls));
+        if (to != new_real) out.AddTransition(nl, nr, cls, to);  // to-sink: implicit
+      }
+    }
+  }
   for (State q = 0; q < n; ++q) {
     if (!reachable[q]) continue;
-    out.SetAccepting(map_cls(cls[q]), accepting_[q]);
+    out.SetAccepting(map_state(q), accepting_[q]);
   }
+  out.MergeEqualClasses();
   return out;
 }
 
@@ -376,220 +422,167 @@ Dta Dta::Minimize() const {
 // ---------------------------------------------------------------------------
 
 Nta::Nta(uint32_t num_states, uint32_t alphabet_size)
+    : Nta(num_states, IdentityClasses(alphabet_size)) {}
+
+Nta::Nta(uint32_t num_states, std::vector<uint32_t> symbol_class)
     : num_states_(num_states),
-      alphabet_size_(alphabet_size),
-      accepting_(num_states + 1, false),
-      variants_(alphabet_size, 1) {
-  QPWM_CHECK_LE(num_states, kMaxStates);
-  QPWM_CHECK_LE(alphabet_size, kMaxStates);
-}
+      num_classes_(CountClasses(symbol_class)),
+      symbol_class_(std::move(symbol_class)),
+      delta_(NumRows(num_states) * num_classes_, kNoTargets),
+      accepting_(num_states + 1, false) {}
 
-void Nta::AddTransition(State left, State right, uint32_t sym, State to) {
-  QPWM_CHECK(left == kAbsentChild || left <= num_states_);
-  QPWM_CHECK(right == kAbsentChild || right <= num_states_);
-  QPWM_CHECK_LT(sym, alphabet_size_);
+void Nta::AddTransition(State left, State right, uint32_t cls, State to) {
+  QPWM_CHECK(left == kAbsentChild || left < num_states_);
+  QPWM_CHECK(right == kAbsentChild || right < num_states_);
+  QPWM_CHECK_LT(cls, num_classes_);
   QPWM_CHECK_LE(to, num_states_);
-  delta_[Dta::PackKey(left, right, sym)].push_back(to);
+  uint32_t& slot = delta_[Slot(left, right, cls)];
+  std::vector<State> set;
+  if (slot != kNoTargets) set.assign(targets_.begin(slot), targets_.end(slot));
+  auto pos = std::lower_bound(set.begin(), set.end(), to);
+  if (pos != set.end() && *pos == to) return;
+  set.insert(pos, to);
+  slot = targets_.Intern(set);
 }
 
-std::vector<State> Nta::Targets(State left, State right, uint32_t sym) const {
-  if (left == sink() || right == sink()) return {sink()};
-  std::vector<State> out;
-  auto it = delta_.find(Dta::PackKey(left, right, sym));
-  if (it != delta_.end()) out = it->second;
-  // A branch that stored no target died in the sink; the sink joins the set
-  // exactly when some of the symbol's branches are missing.
-  if (out.size() < variants_[sym]) out.push_back(sink());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
+Nta Nta::Project(uint32_t new_alphabet_size, const std::vector<uint32_t>& image) const {
+  QPWM_CHECK_EQ(image.size(), alphabet_size());
 
-Nta Nta::RemapSymbols(uint32_t new_alphabet_size,
-                      const std::vector<std::vector<uint32_t>>& new_syms) const {
-  QPWM_CHECK_EQ(new_syms.size(), alphabet_size_);
-  Nta out(num_states_, new_alphabet_size);
-  // Every consumer sorts target sets before use, so fill order is free.
-  // qpwm-lint: allow(unordered-iter) -- targets sorted by all consumers
-  for (const auto& [key, targets] : delta_) {
-    auto [l, r, sym] = Dta::UnpackKey(key);
-    for (uint32_t ns : new_syms[sym]) {
-      for (State t : targets) out.AddTransition(l, r, ns, t);
+  // The set of old classes each new symbol merges, interned (id 0 = the
+  // empty set of a symbol without preimage). Growing a set by one class is
+  // memoized, so this is one hash lookup per old symbol.
+  std::vector<std::vector<uint32_t>> sets{{}};
+  std::map<std::vector<uint32_t>, uint32_t> set_id{{{}, 0}};
+  std::unordered_map<uint64_t, uint32_t> grown_by;  // (set, class) -> set
+  std::vector<uint32_t> set_of(new_alphabet_size, 0);
+  for (uint32_t s = 0; s < image.size(); ++s) {
+    QPWM_CHECK_LT(image[s], new_alphabet_size);
+    uint32_t& set = set_of[image[s]];
+    const uint32_t c = symbol_class_[s];
+    auto [it, inserted] = grown_by.emplace((static_cast<uint64_t>(set) << 32) | c, 0);
+    if (inserted) {
+      std::vector<uint32_t> grown = sets[set];
+      auto pos = std::lower_bound(grown.begin(), grown.end(), c);
+      if (pos == grown.end() || *pos != c) grown.insert(pos, c);
+      auto [sit, fresh] = set_id.emplace(grown, static_cast<uint32_t>(sets.size()));
+      if (fresh) sets.push_back(std::move(grown));
+      it->second = sit->second;
     }
+    set = it->second;
+  }
+
+  // A set's merged column: per (left, right) row, the union of its
+  // classes' targets, plus the sink when one of them has no transition
+  // there. The result's classes are the distinct merged columns, numbered
+  // by first appearance among the new symbols.
+  const size_t rows = NumRows(num_states_);
+  StateSetPool targets;
+  std::map<std::vector<uint32_t>, uint32_t> class_of_column;
+  std::vector<const std::vector<uint32_t>*> columns;  // by class
+  std::vector<uint32_t> class_of_set(sets.size(), UINT32_MAX);
+  std::vector<uint32_t> symbol_class(new_alphabet_size);
+  std::vector<State> merged;
+  for (uint32_t t = 0; t < new_alphabet_size; ++t) {
+    uint32_t& cls = class_of_set[set_of[t]];
+    if (cls == UINT32_MAX) {
+      const std::vector<uint32_t>& classes = sets[set_of[t]];
+      std::vector<uint32_t> column(rows, kNoTargets);
+      for (size_t row = 0; row < rows; ++row) {
+        merged.clear();
+        size_t present = 0;
+        for (uint32_t c : classes) {
+          const uint32_t id = delta_[row * num_classes_ + c];
+          if (id == kNoTargets) continue;
+          ++present;
+          merged.insert(merged.end(), targets_.begin(id), targets_.end(id));
+        }
+        if (present == 0) continue;
+        if (present < classes.size()) merged.push_back(sink());
+        std::sort(merged.begin(), merged.end());
+        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+        column[row] = targets.Intern(merged);
+      }
+      auto [it, inserted] = class_of_column.emplace(
+          std::move(column), static_cast<uint32_t>(class_of_column.size()));
+      if (inserted) columns.push_back(&it->first);
+      cls = it->second;
+    }
+    symbol_class[t] = cls;
+  }
+
+  Nta out(num_states_, std::move(symbol_class));
+  out.targets_ = std::move(targets);
+  const size_t k = columns.size();
+  for (size_t row = 0; row < rows; ++row) {
+    for (size_t c = 0; c < k; ++c) out.delta_[row * k + c] = (*columns[c])[row];
   }
   out.accepting_ = accepting_;
-  // Each new symbol accumulates the branch counts of its preimages.
-  std::vector<uint32_t> counts(new_alphabet_size, 0);
-  for (uint32_t sym = 0; sym < alphabet_size_; ++sym) {
-    for (uint32_t ns : new_syms[sym]) counts[ns] += variants_[sym];
-  }
-  for (uint32_t ns = 0; ns < new_alphabet_size; ++ns) {
-    if (counts[ns] > 0) out.variants_[ns] = counts[ns];
-  }
   return out;
 }
 
 Dta Nta::Determinize() const {
-  // --- Symbol-class compression. Symbols with identical transition rows
-  // (and branch counts) are language-interchangeable; subset construction
-  // runs over one representative per class and the result is expanded back
-  // afterwards. This is what keeps the D^2 x |Sigma| table affordable: the
-  // pebble-track alphabets here are large but highly redundant.
-  {
-    // Exact per-symbol row: (branch count, sorted list of (child key, sorted
-    // targets)). Exactness matters — a hash collision here would silently
-    // merge languages.
-    using Row = std::pair<uint32_t, std::vector<std::pair<uint64_t, std::vector<State>>>>;
-    std::vector<Row> row(alphabet_size_);
-    for (uint32_t sym = 0; sym < alphabet_size_; ++sym) row[sym].first = variants_[sym];
-    // qpwm-lint: allow(unordered-iter) -- rows are sorted before hashing
-    for (const auto& [key, targets] : delta_) {
-      auto [l, r, sym] = Dta::UnpackKey(key);
-      std::vector<State> sorted = targets;
-      std::sort(sorted.begin(), sorted.end());
-      row[sym].second.emplace_back(Dta::PackKey(l, r, 0), std::move(sorted));
-    }
-    std::map<Row, uint32_t> class_of_row;
-    std::vector<std::vector<uint32_t>> members;
-    std::vector<uint32_t> class_of_sym(alphabet_size_);
-    for (uint32_t sym = 0; sym < alphabet_size_; ++sym) {
-      std::sort(row[sym].second.begin(), row[sym].second.end());
-      auto [it, inserted] =
-          class_of_row.emplace(std::move(row[sym]), static_cast<uint32_t>(members.size()));
-      if (inserted) members.emplace_back();
-      class_of_sym[sym] = it->second;
-      members[it->second].push_back(sym);
-    }
-    if (members.size() < alphabet_size_) {
-      // Build the compressed NTA over class representatives, determinize it
-      // (recursively — the compressed alphabet has all-distinct classes so
-      // this recursion happens exactly once), then expand.
-      Nta compressed(num_states_, static_cast<uint32_t>(members.size()));
-      // One source entry per compressed key (reps only): order cannot vary.
-      // qpwm-lint: allow(unordered-iter) -- single entry per compressed key
-      for (const auto& [key, targets] : delta_) {
-        auto [l, r, sym] = Dta::UnpackKey(key);
-        if (members[class_of_sym[sym]][0] != sym) continue;  // reps only
-        for (State t : targets) compressed.AddTransition(l, r, class_of_sym[sym], t);
-      }
-      for (uint32_t c = 0; c < members.size(); ++c) {
-        compressed.SetVariants(c, variants_[members[c][0]]);
-      }
-      compressed.accepting_ = accepting_;
-      Dta small = compressed.Determinize().Minimize();
-      return small.RemapSymbols(alphabet_size_, members);
-    }
-  }
-
-  std::map<std::vector<State>, State> intern;
-  std::vector<std::vector<State>> subsets;
+  StateSetPool subsets;
+  auto num_subsets = [&] { return static_cast<State>(subsets.size()); };
 
   // When the sink is non-accepting, the {sink} subset is pure garbage: it
-  // absorbs (Targets(sink, *, s) = {sink}) and never accepts, so it can be
+  // absorbs (every step from it is {sink}) and never accepts, so it can be
   // the *result's* implicit sink — its transitions are neither stored nor
   // expanded. This is what keeps subset construction tractable on sparse
   // automata.
   const bool garbage_sink = !accepting_[sink()];
-  const std::vector<State> sink_subset{sink()};
-  constexpr State kToSink = UINT32_MAX - 7;
+  constexpr State kToSink = UINT32_MAX;
 
-  auto intern_subset = [&](std::vector<State> s) -> State {
-    if (garbage_sink && s == sink_subset) return kToSink;
-    auto [it, inserted] = intern.emplace(std::move(s), static_cast<State>(subsets.size()));
-    if (inserted) subsets.push_back(it->first);
-    return it->second;
-  };
-
-  // Allocation-free inner loop: `seen` is a membership bitmap reused across
-  // calls, `out` collects the union of Targets without intermediate vectors.
-  std::vector<uint8_t> seen(num_states_ + 2, 0);
-  auto combine = [&](const std::vector<State>* sl, const std::vector<State>* sr,
-                     uint32_t sym) -> std::vector<State> {
-    std::vector<State> out;
-    auto add_all = [&](State ql, State qr) {
-      if (ql == sink() || qr == sink()) {
-        if (!seen[sink()]) {
-          seen[sink()] = 1;
-          out.push_back(sink());
-        }
-        return;
-      }
-      auto it = delta_.find(Dta::PackKey(ql, qr, sym));
-      size_t stored = 0;
-      if (it != delta_.end()) {
-        stored = it->second.size();
-        for (State t : it->second) {
-          if (!seen[t]) {
-            seen[t] = 1;
-            out.push_back(t);
-          }
-        }
-      }
-      if (stored < variants_[sym] && !seen[sink()]) {
-        seen[sink()] = 1;
-        out.push_back(sink());
-      }
-    };
-    if (sl == nullptr && sr == nullptr) {
-      add_all(kAbsentChild, kAbsentChild);
-    } else if (sr == nullptr) {
-      for (State ql : *sl) add_all(ql, kAbsentChild);
-    } else if (sl == nullptr) {
-      for (State qr : *sr) add_all(kAbsentChild, qr);
-    } else {
-      for (State ql : *sl) {
-        for (State qr : *sr) add_all(ql, qr);
-      }
+  // Allocation-free inner loop: `seen` is a membership bitmap, `subset`
+  // collects the union of targets until it is interned.
+  std::vector<uint8_t> seen(num_states_ + 1, 0);
+  std::vector<State> subset;
+  auto add = [&](State t) {
+    if (!seen[t]) {
+      seen[t] = 1;
+      subset.push_back(t);
     }
-    for (State t : out) seen[t] = 0;
-    std::sort(out.begin(), out.end());
-    return out;
+  };
+  auto add_targets = [&](State ql, State qr, uint32_t cls) {
+    if (ql == sink() || qr == sink()) return add(sink());
+    const uint32_t id = delta_[Slot(ql, qr, cls)];
+    if (id == kNoTargets) return add(sink());
+    for (const State* t = targets_.begin(id); t != targets_.end(id); ++t) add(*t);
+  };
+  // Absent children stand for the one-element "subset" {kAbsentChild}.
+  const State absent[] = {kAbsentChild};
+  auto members = [&](State p) -> std::pair<const State*, const State*> {
+    if (p == kAbsentChild) return {absent, absent + 1};
+    return {subsets.begin(p), subsets.end(p)};
   };
 
-  struct Pending {
-    State l, r;
-    uint32_t sym;
-    State to;
-  };
-  std::vector<Pending> transitions;
-
-  auto record = [&](State l, State r, uint32_t sym, State to) {
-    if (to == kToSink) return;  // implicit in the result
-    transitions.push_back({l, r, sym, to});
-  };
-
-  // Leaf seeds.
-  for (uint32_t sym = 0; sym < alphabet_size_; ++sym) {
-    record(kAbsentChild, kAbsentChild, sym, intern_subset(combine(nullptr, nullptr, sym)));
-  }
-
-  const bool trace = std::getenv("QPWM_MSO_TRACE") != nullptr;
-  size_t processed = 0;
-  while (processed < subsets.size()) {
-    State p = static_cast<State>(processed++);
-    if (trace && processed % 64 == 0) {
-      std::fprintf(stderr, "[determinize] processed=%zu discovered=%zu transitions=%zu\n",
-                   processed, subsets.size(), transitions.size());
+  // As in Dta::Product, one walk per class in id order discovers subsets in
+  // the order a per-symbol walk would; step targets are kept in visit order.
+  std::vector<State> steps;
+  ForEachStep(num_classes_, num_subsets, [&](State l, State r, uint32_t cls) {
+    // Pool pointers stay valid until the next Intern.
+    auto [lb, le] = members(l);
+    auto [rb, re] = members(r);
+    for (const State* ql = lb; ql != le; ++ql) {
+      for (const State* qr = rb; qr != re; ++qr) add_targets(*ql, *qr, cls);
     }
-    std::vector<State> sp = subsets[p];  // copy: subsets may reallocate
-    for (uint32_t sym = 0; sym < alphabet_size_; ++sym) {
-      record(p, kAbsentChild, sym, intern_subset(combine(&sp, nullptr, sym)));
-      record(kAbsentChild, p, sym, intern_subset(combine(nullptr, &sp, sym)));
-      for (State q = 0; q <= p; ++q) {
-        std::vector<State> sq = subsets[q];
-        record(p, q, sym, intern_subset(combine(&sp, &sq, sym)));
-        if (q != p) {
-          record(q, p, sym, intern_subset(combine(&sq, &sp, sym)));
-        }
-      }
-    }
-  }
+    for (State t : subset) seen[t] = 0;
+    std::sort(subset.begin(), subset.end());
+    const bool to_sink = garbage_sink && subset.size() == 1 && subset[0] == sink();
+    steps.push_back(to_sink ? kToSink : subsets.Intern(subset));
+    subset.clear();
+  });
 
-  Dta out(static_cast<uint32_t>(subsets.size()), alphabet_size_);
-  for (const Pending& tr : transitions) out.AddTransition(tr.l, tr.r, tr.sym, tr.to);
+  Dta out(num_subsets(), symbol_class_);
+  size_t next = 0;
+  ForEachStep(num_classes_, num_subsets, [&](State l, State r, uint32_t cls) {
+    const State to = steps[next++];
+    if (to != kToSink) out.delta_[out.Slot(l, r, cls)] = to;
+  });
   for (State s = 0; s < subsets.size(); ++s) {
     bool acc = false;
-    for (State q : subsets[s]) acc = acc || accepting_[q];
+    for (const State* q = subsets.begin(s); q != subsets.end(s); ++q) {
+      acc = acc || accepting_[*q];
+    }
     out.SetAccepting(s, acc);
   }
   return out;

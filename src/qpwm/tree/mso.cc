@@ -18,26 +18,50 @@ constexpr int kReject = -1;
 // Child-state domain marker for the atom builder.
 constexpr int kAbsentState = -2;
 
+// The base labels an atom tells apart: label b falls in class of[b], one of
+// `count` classes numbered by first appearance.
+struct BaseClasses {
+  std::vector<uint32_t> of;
+  uint32_t count;
+};
+
+// Structural atoms read no label: one class.
+BaseClasses Uniform(uint32_t base_count) { return {std::vector<uint32_t>(base_count, 0), 1}; }
+
+// A label atom tells its label from everything else.
+BaseClasses LabelClasses(uint32_t base_count, uint32_t label) {
+  BaseClasses out{std::vector<uint32_t>(base_count, label == 0 ? 1 : 0), 1};
+  out.of[label] = label == 0 ? 0 : 1;
+  if (base_count > 1) out.count = 2;
+  return out;
+}
+
 // Builds a small total-on-purpose automaton by enumerating every
-// (left, right, symbol, bits) combination and asking `step` for the target
-// (kReject = implicit sink).
-Dta BuildAtom(uint32_t base_count, uint32_t num_tracks, uint32_t num_states,
+// (left, right, base class, bits) combination and asking `step` for the
+// target (kReject = implicit sink). Symbol base + |Sigma| * bits falls in
+// class of[base] + count * bits, which keeps classes numbered by first
+// appearance.
+Dta BuildAtom(const BaseClasses& base, uint32_t num_tracks, uint32_t num_states,
               const std::vector<State>& accepting,
               const std::function<int(int, int, uint32_t, uint32_t)>& step) {
-  const uint32_t alphabet = base_count << num_tracks;
-  Dta out(num_states, alphabet);
+  std::vector<uint32_t> symbol_class;
+  symbol_class.reserve(base.of.size() << num_tracks);
+  for (uint32_t bits = 0; bits < (1u << num_tracks); ++bits) {
+    for (uint32_t c : base.of) symbol_class.push_back(c + base.count * bits);
+  }
+  Dta out(num_states, std::move(symbol_class));
   std::vector<int> child_domain{kAbsentState};
   for (uint32_t q = 0; q < num_states; ++q) child_domain.push_back(static_cast<int>(q));
 
   for (int l : child_domain) {
     for (int r : child_domain) {
-      for (uint32_t sym = 0; sym < base_count; ++sym) {
+      for (uint32_t c = 0; c < base.count; ++c) {
         for (uint32_t bits = 0; bits < (1u << num_tracks); ++bits) {
-          int to = step(l, r, sym, bits);
+          int to = step(l, r, c, bits);
           if (to == kReject) continue;
           State ls = l == kAbsentState ? kAbsentChild : static_cast<State>(l);
           State rs = r == kAbsentState ? kAbsentChild : static_cast<State>(r);
-          out.AddTransition(ls, rs, sym + base_count * bits, static_cast<State>(to));
+          out.AddTransition(ls, rs, c + base.count * bits, static_cast<State>(to));
         }
       }
     }
@@ -54,14 +78,14 @@ bool IsNoneOrAbsent(int child) { return child == kAbsentState || child == 0; }
 // the singleton conjunction at quantifier boundaries makes unobservable.
 
 Dta SingletonAtom(uint32_t base_count) {
-  return BuildAtom(base_count, 1, 2, {1}, [](int l, int r, uint32_t, uint32_t bits) {
+  return BuildAtom(Uniform(base_count), 1, 2, {1}, [](int l, int r, uint32_t, uint32_t bits) {
     int count = StateOr0(l) + StateOr0(r) + static_cast<int>(bits & 1);
     return count <= 1 ? count : kReject;
   });
 }
 
 Dta MemberAtom(uint32_t base_count, int x_bit, int set_bit) {
-  return BuildAtom(base_count, 2, 2, {1},
+  return BuildAtom(Uniform(base_count), 2, 2, {1},
                    [x_bit, set_bit](int l, int r, uint32_t, uint32_t bits) {
                      bool bx = (bits >> x_bit) & 1;
                      bool bX = (bits >> set_bit) & 1;
@@ -72,7 +96,7 @@ Dta MemberAtom(uint32_t base_count, int x_bit, int set_bit) {
 }
 
 Dta EqAtom(uint32_t base_count, int x_bit, int y_bit) {
-  return BuildAtom(base_count, 2, 2, {1},
+  return BuildAtom(Uniform(base_count), 2, 2, {1},
                    [x_bit, y_bit](int l, int r, uint32_t, uint32_t bits) {
                      bool bx = (bits >> x_bit) & 1;
                      bool by = (bits >> y_bit) & 1;
@@ -86,7 +110,7 @@ Dta EqAtom(uint32_t base_count, int x_bit, int y_bit) {
 // y is the left (side == 0) or right (side == 1) child of x.
 Dta ChildAtom(uint32_t base_count, int x_bit, int y_bit, int side) {
   return BuildAtom(
-      base_count, 2, 3, {2},
+      Uniform(base_count), 2, 3, {2},
       [x_bit, y_bit, side](int l, int r, uint32_t, uint32_t bits) {
         bool bx = (bits >> x_bit) & 1;
         bool by = (bits >> y_bit) & 1;
@@ -110,7 +134,7 @@ Dta ChildAtom(uint32_t base_count, int x_bit, int y_bit, int side) {
 // x <= y in tree order (x is an ancestor of y, or x == y).
 Dta LeqAtom(uint32_t base_count, int x_bit, int y_bit) {
   return BuildAtom(
-      base_count, 2, 3, {2},
+      Uniform(base_count), 2, 3, {2},
       [x_bit, y_bit](int l, int r, uint32_t, uint32_t bits) {
         bool bx = (bits >> x_bit) & 1;
         bool by = (bits >> y_bit) & 1;
@@ -133,11 +157,13 @@ Dta LeqAtom(uint32_t base_count, int x_bit, int y_bit) {
 }
 
 Dta LabelAtom(uint32_t base_count, uint32_t label, int x_bit) {
-  return BuildAtom(base_count, 1, 2, {1},
-                   [label, x_bit](int l, int r, uint32_t sym, uint32_t bits) {
+  BaseClasses base = LabelClasses(base_count, label);
+  const uint32_t label_class = base.of[label];
+  return BuildAtom(base, 1, 2, {1},
+                   [label_class, x_bit](int l, int r, uint32_t cls, uint32_t bits) {
                      bool bx = (bits >> x_bit) & 1;
                      bool done = l == 1 || r == 1;
-                     if (bx) return sym == label ? 1 : kReject;
+                     if (bx) return cls == label_class ? 1 : kReject;
                      return done ? 1 : 0;
                    });
 }
@@ -150,7 +176,7 @@ Dta LabelAtom(uint32_t base_count, uint32_t label, int x_bit) {
 // at this node; 2 = done (x seen with its left child in state 1).
 Dta ChildUnrankedAtom(uint32_t base_count, int x_bit, int y_bit) {
   return BuildAtom(
-      base_count, 2, 3, {2},
+      Uniform(base_count), 2, 3, {2},
       [x_bit, y_bit](int l, int r, uint32_t, uint32_t bits) {
         bool bx = (bits >> x_bit) & 1;
         bool by = (bits >> y_bit) & 1;
@@ -168,7 +194,7 @@ Dta ChildUnrankedAtom(uint32_t base_count, int x_bit, int y_bit) {
 }
 
 Dta RootAtom(uint32_t base_count, int x_bit) {
-  return BuildAtom(base_count, 1, 3, {1},
+  return BuildAtom(Uniform(base_count), 1, 3, {1},
                    [x_bit](int l, int r, uint32_t, uint32_t bits) {
                      bool bx = (bits >> x_bit) & 1;
                      if (bx) {
@@ -179,7 +205,7 @@ Dta RootAtom(uint32_t base_count, int x_bit) {
 }
 
 Dta LeafAtom(uint32_t base_count, int x_bit) {
-  return BuildAtom(base_count, 1, 2, {1},
+  return BuildAtom(Uniform(base_count), 1, 2, {1},
                    [x_bit](int l, int r, uint32_t, uint32_t bits) {
                      bool bx = (bits >> x_bit) & 1;
                      if (bx) {
@@ -187,6 +213,19 @@ Dta LeafAtom(uint32_t base_count, int x_bit) {
                      }
                      return (l == 1 || r == 1) ? 1 : 0;
                    });
+}
+
+bool MsoTraceEnabled() {
+  static const bool enabled = std::getenv("QPWM_MSO_TRACE") != nullptr;
+  return enabled;
+}
+
+void Trace(const char* op, const Formula& f, const TrackedDta& out) {
+  if (!MsoTraceEnabled()) return;
+  std::fprintf(stderr,
+               "[mso] %-8s states=%-6u alphabet=%-6u classes=%-5u transitions=%-8zu %s\n",
+               op, out.dta.num_states(), out.dta.alphabet_size(), out.dta.num_classes(),
+               out.dta.num_transitions(), f.ToString().substr(0, 90).c_str());
 }
 
 // --- Track plumbing.
@@ -198,43 +237,42 @@ int TrackBit(const std::vector<std::string>& tracks, const std::string& var) {
   return static_cast<int>(it - tracks.begin());
 }
 
-// Extends `a` to the (sorted) superset `target` of its tracks by
-// cylindrification: each old symbol maps to every bit extension.
-TrackedDta Align(const TrackedDta& a, const std::vector<std::string>& target,
-                 uint32_t base_count) {
+// Rejects pebbled alphabets Sigma x {0,1}^k beyond what an automaton
+// holds; their size comes from the input document's distinct values.
+Status CheckPebbledAlphabet(uint32_t base_count, size_t tracks) {
+  if (tracks > 21 || (static_cast<uint64_t>(base_count) << tracks) > kMaxAlphabetSize) {
+    return Status::InvalidArgument(StrCat("pebbled alphabet of ", base_count, " labels x 2^",
+                                          tracks, " tracks exceeds the limit of ",
+                                          kMaxAlphabetSize, " symbols"));
+  }
+  return Status::OK();
+}
+
+// Extends `a` to the superset `target` of its tracks, in target's track
+// order, by cylindrification: each new symbol reads as the old symbol with
+// the new tracks' bits dropped (and the old ones moved back to their bits).
+Result<TrackedDta> Align(const TrackedDta& a, const std::vector<std::string>& target,
+                         uint32_t base_count) {
   if (a.tracks == target) return a;
+  QPWM_RETURN_NOT_OK(CheckPebbledAlphabet(base_count, target.size()));
   const uint32_t k_old = static_cast<uint32_t>(a.tracks.size());
   const uint32_t k_new = static_cast<uint32_t>(target.size());
-  QPWM_CHECK_LE(base_count << k_new, (1u << 21));
 
   // old track bit -> new track bit.
   std::vector<int> pos(k_old);
   for (uint32_t i = 0; i < k_old; ++i) pos[i] = TrackBit(target, a.tracks[i]);
-  std::vector<bool> is_old(k_new, false);
-  for (int p : pos) is_old[p] = true;
 
-  std::vector<std::vector<uint32_t>> mapping(base_count << k_old);
-  for (uint32_t sym = 0; sym < mapping.size(); ++sym) {
+  std::vector<uint32_t> source(base_count << k_new);
+  for (uint32_t sym = 0; sym < source.size(); ++sym) {
     uint32_t base = sym % base_count;
     uint32_t bits = sym / base_count;
-    uint32_t fixed = 0;
+    uint32_t old_bits = 0;
     for (uint32_t i = 0; i < k_old; ++i) {
-      if ((bits >> i) & 1) fixed |= 1u << pos[i];
+      if ((bits >> pos[i]) & 1) old_bits |= 1u << i;
     }
-    // Enumerate assignments of the new tracks not present in `a`.
-    std::vector<int> free_bits;
-    for (uint32_t j = 0; j < k_new; ++j) {
-      if (!is_old[j]) free_bits.push_back(static_cast<int>(j));
-    }
-    for (uint32_t mask = 0; mask < (1u << free_bits.size()); ++mask) {
-      uint32_t ext = fixed;
-      for (size_t j = 0; j < free_bits.size(); ++j) {
-        if ((mask >> j) & 1) ext |= 1u << free_bits[j];
-      }
-      mapping[sym].push_back(base + base_count * ext);
-    }
+    source[sym] = base + base_count * old_bits;
   }
-  return {a.dta.RemapSymbols(base_count << k_new, mapping), target};
+  return TrackedDta{a.dta.RemapSymbols(source), target};
 }
 
 std::vector<std::string> UnionTracks(const std::vector<std::string>& a,
@@ -245,23 +283,27 @@ std::vector<std::string> UnionTracks(const std::vector<std::string>& a,
 }
 
 // Removes `var`'s track by projection (exists semantics) + determinization.
-TrackedDta Project(const TrackedDta& a, const std::string& var, uint32_t base_count) {
+TrackedDta Project(const TrackedDta& a, const std::string& var, uint32_t base_count,
+                   const Formula& f) {
   const uint32_t k = static_cast<uint32_t>(a.tracks.size());
   const int bit = TrackBit(a.tracks, var);
 
-  std::vector<std::vector<uint32_t>> mapping(base_count << k);
-  for (uint32_t sym = 0; sym < mapping.size(); ++sym) {
+  std::vector<uint32_t> image(base_count << k);
+  for (uint32_t sym = 0; sym < image.size(); ++sym) {
     uint32_t base = sym % base_count;
     uint32_t bits = sym / base_count;
     uint32_t low = bits & ((1u << bit) - 1);
     uint32_t high = (bits >> (bit + 1)) << bit;
-    mapping[sym].push_back(base + base_count * (low | high));
+    image[sym] = base + base_count * (low | high);
   }
 
   std::vector<std::string> tracks = a.tracks;
   tracks.erase(tracks.begin() + bit);
-  Nta projected = a.dta.ToNta().RemapSymbols(base_count << (k - 1), mapping);
-  return {projected.Determinize().Minimize(), std::move(tracks)};
+  TrackedDta out{a.dta.ToNta().Project(base_count << (k - 1), image).Determinize(),
+                 std::move(tracks)};
+  Trace("subset", f, out);
+  out.dta = out.dta.Minimize();
+  return out;
 }
 
 // Fresh-names every bound variable so shadowing cannot conflate tracks.
@@ -329,18 +371,6 @@ FormulaPtr AlphaRename(const Formula& f, std::map<std::string, std::string>& sco
   return out;
 }
 
-bool MsoTraceEnabled() {
-  static const bool enabled = std::getenv("QPWM_MSO_TRACE") != nullptr;
-  return enabled;
-}
-
-void Trace(const char* op, const Formula& f, const TrackedDta& out) {
-  if (!MsoTraceEnabled()) return;
-  std::fprintf(stderr, "[mso] %-8s states=%-6u alphabet=%-6u transitions=%-8zu %s\n",
-               op, out.dta.num_states(), out.dta.alphabet_size(),
-               out.dta.num_transitions(), f.ToString().substr(0, 90).c_str());
-}
-
 class Compiler {
  public:
   explicit Compiler(const Alphabet& sigma)
@@ -353,6 +383,11 @@ class Compiler {
   }
 
   Result<TrackedDta> CompileInner(const Formula& f) {
+    if (f.kind == FormulaKind::kAtom || f.kind == FormulaKind::kEq ||
+        f.kind == FormulaKind::kSetMember) {
+      const size_t tracks = f.vars.size() + (f.kind == FormulaKind::kSetMember ? 1 : 0);
+      QPWM_RETURN_NOT_OK(CheckPebbledAlphabet(base_, tracks));
+    }
     switch (f.kind) {
       case FormulaKind::kAtom:
         return CompileAtom(f);
@@ -388,10 +423,13 @@ class Compiler {
         auto b = Compile(*f.right);
         if (!b.ok()) return b;
         auto tracks = UnionTracks(a.value().tracks, b.value().tracks);
-        TrackedDta lhs = Align(a.value(), tracks, base_);
-        TrackedDta rhs = Align(b.value(), tracks, base_);
-        Dta product =
-            Dta::Product(lhs.dta, rhs.dta, f.kind == FormulaKind::kAnd).Minimize();
+        auto lhs = Align(a.value(), tracks, base_);
+        if (!lhs.ok()) return lhs;
+        auto rhs = Align(b.value(), tracks, base_);
+        if (!rhs.ok()) return rhs;
+        Dta product = Dta::Product(lhs.value().dta, rhs.value().dta,
+                                   f.kind == FormulaKind::kAnd)
+                          .Minimize();
         return TrackedDta{std::move(product), tracks};
       }
       case FormulaKind::kExists:
@@ -415,13 +453,11 @@ class Compiler {
   TrackedDta TrueAutomaton(std::vector<std::string> tracks) {
     std::sort(tracks.begin(), tracks.end());
     const uint32_t k = static_cast<uint32_t>(tracks.size());
-    Dta t(1, base_ << k);
-    for (uint32_t sym = 0; sym < (base_ << k); ++sym) {
-      t.AddTransition(kAbsentChild, kAbsentChild, sym, 0);
-      t.AddTransition(0, kAbsentChild, sym, 0);
-      t.AddTransition(kAbsentChild, 0, sym, 0);
-      t.AddTransition(0, 0, sym, 0);
-    }
+    Dta t(1, std::vector<uint32_t>(base_ << k, 0));
+    t.AddTransition(kAbsentChild, kAbsentChild, 0, 0);
+    t.AddTransition(0, kAbsentChild, 0, 0);
+    t.AddTransition(kAbsentChild, 0, 0, 0);
+    t.AddTransition(0, 0, 0, 0);
     t.SetAccepting(0, true);
     return {std::move(t), std::move(tracks)};
   }
@@ -479,10 +515,11 @@ class Compiler {
 
     if (first_order) {
       TrackedDta sing{SingletonAtom(base_), {var}};
-      TrackedDta aligned_sing = Align(sing, inner.tracks, base_);
-      inner.dta = Dta::Product(inner.dta, aligned_sing.dta, true).Minimize();
+      auto aligned_sing = Align(sing, inner.tracks, base_);
+      if (!aligned_sing.ok()) return aligned_sing;
+      inner.dta = Dta::Product(inner.dta, aligned_sing.value().dta, true).Minimize();
     }
-    return Project(inner, var, base_);
+    return Project(inner, var, base_, f);
   }
 
   const Alphabet& sigma_;
@@ -512,8 +549,6 @@ Result<TrackedDta> CompileMso(const Formula& f, const Alphabet& sigma,
     }
   }
 
-  // Cylindrify up to the full requested set (sorted), then permute bits into
-  // var_order positions.
   std::vector<std::string> sorted = var_order;
   std::sort(sorted.begin(), sorted.end());
   for (size_t i = 1; i < sorted.size(); ++i) {
@@ -521,26 +556,8 @@ Result<TrackedDta> CompileMso(const Formula& f, const Alphabet& sigma,
       return Status::InvalidArgument("duplicate variable in var_order");
     }
   }
-  const uint32_t base = static_cast<uint32_t>(sigma.size());
-  result = Align(result, sorted, base);
-
-  const uint32_t k = static_cast<uint32_t>(var_order.size());
-  std::vector<int> to_pos(k);  // sorted bit i -> var_order bit
-  for (uint32_t i = 0; i < k; ++i) {
-    to_pos[i] = static_cast<int>(
-        std::find(var_order.begin(), var_order.end(), sorted[i]) - var_order.begin());
-  }
-  std::vector<std::vector<uint32_t>> mapping(base << k);
-  for (uint32_t sym = 0; sym < mapping.size(); ++sym) {
-    uint32_t b = sym % base;
-    uint32_t bits = sym / base;
-    uint32_t permuted = 0;
-    for (uint32_t i = 0; i < k; ++i) {
-      if ((bits >> i) & 1) permuted |= 1u << to_pos[i];
-    }
-    mapping[sym].push_back(b + base * permuted);
-  }
-  return TrackedDta{result.dta.RemapSymbols(base << k, mapping), var_order};
+  // Cylindrify up to the requested tracks, in var_order positions.
+  return Align(result, var_order, static_cast<uint32_t>(sigma.size()));
 }
 
 std::vector<uint32_t> PebbledSymbols(const std::vector<uint32_t>& base_labels,

@@ -101,26 +101,26 @@ std::vector<NodeId> EvaluateWa(const BinaryTree& t,
 
 Dta ProjectParamTrack(const Dta& dta, uint32_t base_count) {
   QPWM_CHECK_EQ(dta.alphabet_size(), base_count * 4);
-  std::vector<std::vector<uint32_t>> mapping(base_count * 4);
-  for (uint32_t sym = 0; sym < mapping.size(); ++sym) {
+  std::vector<uint32_t> image(base_count * 4);
+  for (uint32_t sym = 0; sym < image.size(); ++sym) {
     uint32_t base = sym % base_count;
     uint32_t bits = sym / base_count;     // bit 0 = a, bit 1 = b
     uint32_t b_bit = (bits >> 1) & 1;
-    mapping[sym].push_back(base + base_count * b_bit);
+    image[sym] = base + base_count * b_bit;
   }
-  return dta.ToNta().RemapSymbols(base_count * 2, mapping).Determinize().Minimize();
+  return dta.ToNta().Project(base_count * 2, image).Determinize().Minimize();
 }
 
 Dta SwapPebbleTracks(const Dta& dta, uint32_t base_count) {
   QPWM_CHECK_EQ(dta.alphabet_size(), base_count * 4);
-  std::vector<std::vector<uint32_t>> mapping(base_count * 4);
-  for (uint32_t sym = 0; sym < mapping.size(); ++sym) {
+  std::vector<uint32_t> source(base_count * 4);
+  for (uint32_t sym = 0; sym < source.size(); ++sym) {
     uint32_t base = sym % base_count;
     uint32_t bits = sym / base_count;
     uint32_t swapped = ((bits & 1) << 1) | ((bits >> 1) & 1);
-    mapping[sym].push_back(base + base_count * swapped);
+    source[sym] = base + base_count * swapped;
   }
-  return dta.RemapSymbols(base_count * 4, mapping);
+  return dta.RemapSymbols(source);
 }
 
 Structure TreeSkeletonStructure(const BinaryTree& t) {

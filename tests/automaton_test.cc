@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "automaton_oracle.h"
 #include "qpwm/tree/automaton.h"
 #include "qpwm/tree/bintree.h"
 #include "qpwm/util/random.h"
@@ -132,10 +133,9 @@ TEST(DtaTest, MinimizeMergesEquivalentStates) {
 }
 
 TEST(DtaTest, RemapSymbolsCylindrify) {
-  // Double the alphabet: each old symbol s becomes {s, s + 2} (new bit free).
+  // Double the alphabet: new symbols s and s + 2 read as old s (new bit free).
   Dta d = HasBAutomaton();
-  std::vector<std::vector<uint32_t>> mapping{{0, 2}, {1, 3}};
-  Dta wide = d.RemapSymbols(4, mapping);
+  Dta wide = d.RemapSymbols({0, 1, 0, 1});
   Rng rng(6);
   for (int i = 0; i < 30; ++i) {
     BinaryTree t = RandomBinaryTree(1 + rng.Below(12), 2, rng);
@@ -173,11 +173,9 @@ TEST(NtaTest, ProjectionUnionSemantics) {
   // the has-b automaton lifted to 2 tracks: accept iff SOME bit assignment
   // yields a 'b is present' — i.e. base has a b. (The bit is free.)
   Dta d = HasBAutomaton();
-  std::vector<std::vector<uint32_t>> to_wide{{0, 2}, {1, 3}};
-  Dta wide = d.RemapSymbols(4, to_wide);
+  Dta wide = d.RemapSymbols({0, 1, 0, 1});
   // Now project back: {0,2}->0, {1,3}->1.
-  std::vector<std::vector<uint32_t>> proj{{0}, {1}, {0}, {1}};
-  Dta back = wide.ToNta().RemapSymbols(2, proj).Determinize();
+  Dta back = wide.ToNta().Project(2, {0, 1, 0, 1}).Determinize();
   Rng rng(10);
   for (int i = 0; i < 40; ++i) {
     BinaryTree t = RandomBinaryTree(1 + rng.Below(12), 2, rng);
@@ -203,7 +201,75 @@ Dta RandomDta(uint32_t states, uint32_t alphabet, double keep, Rng& rng) {
   return d;
 }
 
+// RandomDta over `columns` symbols spread across a larger alphabet: every
+// column recurs, so classes hold several (non-adjacent) symbols.
+Dta RandomDtaWithDuplicateColumns(uint32_t states, uint32_t columns, uint32_t alphabet,
+                                  double keep, Rng& rng) {
+  Dta narrow = RandomDta(states, columns, keep, rng);
+  std::vector<uint32_t> source(alphabet);
+  for (uint32_t sym = 0; sym < alphabet; ++sym) {
+    source[sym] = sym < columns ? sym : static_cast<uint32_t>(rng.Below(columns));
+  }
+  for (uint32_t i = alphabet; i > 1; --i) std::swap(source[i - 1], source[rng.Below(i)]);
+  Dta out = narrow.RemapSymbols(source);
+  out.SetAccepting(out.sink(), rng.Coin());
+  return out;
+}
+
+// A random automaton over alphabet x {0,1} (symbol + alphabet * bit) with
+// the bit track projected away.
+Dta RandomProjectedDta(uint32_t states, uint32_t alphabet, Rng& rng, Dta* wide_out = nullptr) {
+  Dta wide = RandomDtaWithDuplicateColumns(states, 3, 2 * alphabet, 0.6, rng);
+  std::vector<uint32_t> image(2 * alphabet);
+  for (uint32_t sym = 0; sym < image.size(); ++sym) image[sym] = sym % alphabet;
+  Dta out = wide.ToNta().Project(alphabet, image).Determinize();
+  if (wide_out != nullptr) *wide_out = wide;
+  return out;
+}
+
 class AutomatonPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AutomatonPropertyTest, ProductMatchesPerSymbolOracle) {
+  Rng rng(GetParam() * 131 + 17);
+  Dta a = RandomDtaWithDuplicateColumns(4, 3, 7, 0.8, rng);
+  Dta b = RandomProjectedDta(3, 7, rng);
+  for (bool conjunction : {true, false}) {
+    oracle::ExpectSameAutomaton(Dta::Product(a, b, conjunction),
+                                oracle::Product(a, b, conjunction));
+    oracle::ExpectSameAutomaton(Dta::Product(b.Complement(), a, conjunction),
+                                oracle::Product(b.Complement(), a, conjunction));
+  }
+}
+
+TEST_P(AutomatonPropertyTest, MinimizeMatchesPerSymbolOracle) {
+  Rng rng(GetParam() * 71 + 5);
+  Dta dup = RandomDtaWithDuplicateColumns(6, 3, 8, 0.7, rng);
+  Dta projected = RandomProjectedDta(4, 5, rng);
+  Dta product = Dta::Product(dup, RandomDtaWithDuplicateColumns(3, 2, 8, 0.9, rng), true);
+  for (const Dta& d : {dup, dup.Complement(), projected, projected.Complement(), product}) {
+    Dta m = d.Minimize();
+    oracle::ExpectSameAutomaton(m, oracle::Minimize(d));
+    EXPECT_LE(m.num_classes(), d.num_classes());
+  }
+}
+
+TEST_P(AutomatonPropertyTest, ProjectionIsExistsOverTheTrack) {
+  // T is accepted after projection iff some assignment of the projected bit
+  // to T's nodes is accepted before it.
+  Rng rng(GetParam() * 53 + 11);
+  Dta wide(0, 0);
+  Dta projected = RandomProjectedDta(4, 3, rng, &wide);
+  for (int trial = 0; trial < 20; ++trial) {
+    BinaryTree t = RandomBinaryTree(1 + rng.Below(6), 3, rng);
+    bool some = false;
+    for (uint32_t bits = 0; bits < (1u << t.size()) && !some; ++bits) {
+      std::vector<uint32_t> symbols = t.labels();
+      for (NodeId v = 0; v < t.size(); ++v) symbols[v] += 3 * ((bits >> v) & 1);
+      some = wide.Accepts(t, symbols);
+    }
+    EXPECT_EQ(projected.Accepts(t, t.labels()), some);
+  }
+}
 
 TEST_P(AutomatonPropertyTest, DeMorganOnRandomAutomata) {
   Rng rng(GetParam());

@@ -4,6 +4,7 @@
 #include "qpwm/logic/parser.h"
 #include "qpwm/tree/mso.h"
 #include "qpwm/util/random.h"
+#include "qpwm/util/str.h"
 
 namespace qpwm {
 namespace {
@@ -178,6 +179,20 @@ TEST_F(MsoPipelineTest, ErrorsOnUnknownLabel) {
 TEST_F(MsoPipelineTest, ErrorsOnMissingVarOrder) {
   FormulaPtr f = MustParseFormula("S1(u, v)");
   EXPECT_FALSE(CompileMso(*f, sigma_, {"u"}).ok());
+}
+
+TEST_F(MsoPipelineTest, ErrorsOnOversizedPebbledAlphabet) {
+  // |Sigma| x 2^k is capped at kMaxAlphabetSize symbols: a 2-track atom over
+  // 2^19 + 1 labels is an error, not an abort; 1 track still compiles.
+  Alphabet big;
+  for (uint32_t i = 0; i <= kMaxAlphabetSize / 4; ++i) big.Intern(StrCat("v", i));
+  auto two_tracks = CompileMso(*MustParseFormula("S1(u, v)"), big, {"u", "v"});
+  ASSERT_FALSE(two_tracks.ok());
+  EXPECT_EQ(two_tracks.status().code(), StatusCode::kInvalidArgument);
+  auto one_track = CompileMso(*MustParseFormula("P_v7(u)"), big, {"u"});
+  ASSERT_TRUE(one_track.ok()) << one_track.status();
+  EXPECT_EQ(one_track.value().dta.alphabet_size(), 2 * big.size());
+  EXPECT_EQ(one_track.value().dta.num_classes(), 4u);
 }
 
 TEST_F(MsoPipelineTest, SetSymbolsComposesTracks) {

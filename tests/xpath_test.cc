@@ -4,6 +4,7 @@
 
 #include "qpwm/tree/query.h"
 #include "qpwm/util/random.h"
+#include "qpwm/util/str.h"
 #include "qpwm/xml/parser.h"
 #include "qpwm/xml/xpath.h"
 
@@ -172,6 +173,22 @@ TEST_F(XPathAutomatonTest, RandomDocs) {
     XmlDocument doc = RandomSchoolDocument(8 + rng.Below(10), rng, 0, 20, 2);
     CrossValidate(doc, "school/student[firstname=$1]/exam");
   }
+}
+
+TEST(XPathCompileLimitsTest, HugeValueDomainIsAnError) {
+  // The query's widest subformula has 4 pebble tracks, so more than 2^17
+  // distinct labels exceed the automaton alphabet cap: Compile must report
+  // it instead of aborting.
+  std::string xml = "<school><student><firstname>a</firstname><exam>1</exam></student><pad>";
+  for (uint32_t i = 0; i < kMaxAlphabetSize / 16 + 8; ++i) xml += StrCat("<v>", i, "</v>");
+  xml += "</pad></school>";
+  XmlDocument doc = MustParseXml(xml);
+  auto enc = EncodeXml(doc, {"exam"}).ValueOrDie();
+  ASSERT_GT(enc.sigma.size() << 4, kMaxAlphabetSize);
+  auto q = XPathQuery::Parse("school/student[firstname=$1]/exam").ValueOrDie();
+  auto compiled = q.Compile(enc);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(XPathParamNodesTest, FindsTextNodes) {
