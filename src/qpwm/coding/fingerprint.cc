@@ -1,6 +1,7 @@
 #include "qpwm/coding/fingerprint.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -32,6 +33,60 @@ double NullTailLog10(double score, double variance, double max_term) {
   return -(score * score / denom) / std::log(10.0);
 }
 
+/// Candidates a scan scores side by side: each lane has its own PRNG and
+/// running sum, so the lanes' xoshiro steps and FP adds overlap, while every
+/// lane's score stays its own serial left-to-right sum.
+constexpr size_t kLanes = 4;
+/// Positions between two checks of the pruning bound (TraceOptions::prune).
+constexpr size_t kPruneStride = 16;
+
+struct LaneScores {
+  std::array<double, kLanes> score{};
+  /// False once the lane's candidate is abandoned (its score is then
+  /// partial), and for lanes past the group's candidate count.
+  std::array<bool, kLanes> alive{};
+};
+
+/// Scores candidates [first, first + count), count <= kLanes, in lockstep
+/// over all positions. terms[2i + b] is what codeword bit b adds at position
+/// i, so the per-position select is a load, not a branch. A lane is
+/// abandoned when score + suffix[i + 1] < prune_below at a checkpoint i
+/// (every kPruneStride positions and the last one). Unused lanes replay the
+/// group's last candidate and are ignored.
+LaneScores ScoreLanes(const TardosCode& code, const double* terms,
+                      const double* suffix, double prune_below, uint64_t first,
+                      size_t count) {
+  static_assert(kLanes == 4);
+  auto lane_rng = [&](size_t lane) {
+    return code.WordRng(first + std::min(lane, count - 1));
+  };
+  std::array<Rng, kLanes> rng = {lane_rng(0), lane_rng(1), lane_rng(2),
+                                 lane_rng(3)};
+  LaneScores out;
+  for (size_t l = 0; l < kLanes; ++l) out.alive[l] = l < count;
+  const size_t n = code.length();
+  for (size_t begin = 0; begin < n; begin += kPruneStride) {
+    const size_t end = std::min(n, begin + kPruneStride);
+    for (size_t i = begin; i < end; ++i) {
+      const uint64_t threshold = code.bias_threshold(i);
+      const double* term = terms + 2 * i;
+      // Unrolled, the lanes' PRNG states and sums live in registers.
+#pragma GCC unroll 4
+      for (size_t l = 0; l < kLanes; ++l) {
+        out.score[l] += term[TardosCode::BitOf(rng[l].Next(), threshold)];
+      }
+    }
+    bool any_alive = false;
+    for (size_t l = 0; l < kLanes; ++l) {
+      out.alive[l] =
+          out.alive[l] && !(out.score[l] + suffix[end] < prune_below);
+      any_alive |= out.alive[l];
+    }
+    if (!any_alive) break;
+  }
+  return out;
+}
+
 struct ScanBlock {
   std::vector<Accusation> accused;
   std::vector<Accusation> top;
@@ -60,11 +115,12 @@ TardosCode::TardosCode(size_t length, const TardosOptions& options)
   word_key_ = root.Derive(kWordPurpose);
   // Tardos bias density: p = sin^2(r) with r uniform over [t', pi/2 - t'],
   // t' = arcsin(sqrt(t)) — the arcsine density restricted to [t, 1 - t].
-  Rng rng(Prf(root.Derive(kBiasPurpose), std::vector<uint64_t>{length}));
+  Rng rng(Prf(root.Derive(kBiasPurpose), uint64_t{length}));
   const double t_prime = std::asin(std::sqrt(cutoff_));
   const double span = std::asin(1.0) - 2.0 * t_prime;  // pi/2 - 2 t'
   QPWM_CHECK(span > 0);
   biases_.reserve(length);
+  thresholds_.reserve(length);
   g_one_.reserve(length);
   g_zero_.reserve(length);
   for (size_t i = 0; i < length; ++i) {
@@ -72,13 +128,20 @@ TardosCode::TardosCode(size_t length, const TardosOptions& options)
     const double s = std::sin(r);
     const double p = std::min(1.0 - cutoff_, std::max(cutoff_, s * s));
     biases_.push_back(p);
+    // p * 2^53 is exact, so a 53-bit draw u has u < ceil(p * 2^53) iff
+    // u * 2^-53 < p (see BitOf).
+    thresholds_.push_back(static_cast<uint64_t>(std::ceil(std::ldexp(p, 53))));
     g_one_.push_back(std::sqrt((1.0 - p) / p));
     g_zero_.push_back(std::sqrt(p / (1.0 - p)));
   }
 }
 
+Rng TardosCode::WordRng(uint64_t recipient) const {
+  return Rng(Prf(word_key_, recipient));
+}
+
 TardosCode::Stream TardosCode::StreamOf(uint64_t recipient) const {
-  return Stream(Rng(Prf(word_key_, std::vector<uint64_t>{recipient})), this);
+  return Stream(WordRng(recipient), this);
 }
 
 BitVec TardosCode::CodewordOf(uint64_t recipient) const {
@@ -203,36 +266,38 @@ TraceResult FingerprintedWatermark::TraceMany(const FingerprintObservation& obs,
     const double log10_n = std::log10(static_cast<double>(candidates));
     const double prune_below =
         options.prune ? options.prune_frac * result.threshold : -kInf;
+    std::vector<double> terms(2 * n);
+    for (size_t i = 0; i < n; ++i) {
+      terms[2 * i] = obs.score_if_zero[i];
+      terms[2 * i + 1] = obs.score_if_one[i];
+    }
     // Each block scans its own candidate range; per-candidate arithmetic is
     // a serial left-to-right sum, so results are independent of the block
-    // partition and thread schedule. Blocks arrive in candidate order.
+    // partition, the lane grouping and the thread schedule. Blocks arrive in
+    // candidate order.
     std::vector<ScanBlock> blocks = ParallelBlocks<ScanBlock>(
         static_cast<size_t>(candidates), [&](size_t begin, size_t end) {
           ScanBlock block;
-          for (size_t j = begin; j < end; ++j) {
-            TardosCode::Stream stream = code_.StreamOf(j);
-            double score = 0;
-            bool abandoned = false;
-            for (size_t i = 0; i < n; ++i) {
-              score += stream.NextBit() ? obs.score_if_one[i]
-                                        : obs.score_if_zero[i];
-              if (score + suffix[i + 1] < prune_below) {
-                abandoned = true;
-                break;
+          for (size_t j = begin; j < end; j += kLanes) {
+            const size_t count = std::min(kLanes, end - j);
+            const LaneScores lanes = ScoreLanes(code_, terms.data(),
+                                                suffix.data(), prune_below, j,
+                                                count);
+            for (size_t l = 0; l < count; ++l) {
+              if (!lanes.alive[l]) {
+                ++block.pruned;
+                continue;
               }
+              const double score = lanes.score[l];
+              Accusation a;
+              a.recipient = j + l;
+              a.score = score;
+              a.log10_fp = std::min(
+                  0.0, log10_n + NullTailLog10(score, obs.null_variance,
+                                               obs.max_term));
+              if (score >= result.threshold) block.accused.push_back(a);
+              InsertTopK(block.top, a, options.top_k);
             }
-            if (abandoned) {
-              ++block.pruned;
-              continue;
-            }
-            Accusation a;
-            a.recipient = j;
-            a.score = score;
-            a.log10_fp = std::min(
-                0.0, log10_n + NullTailLog10(score, obs.null_variance,
-                                             obs.max_term));
-            if (score >= result.threshold) block.accused.push_back(a);
-            InsertTopK(block.top, a, options.top_k);
           }
           return block;
         });

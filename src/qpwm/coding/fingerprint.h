@@ -79,11 +79,25 @@ class TardosCode {
   double g_one(size_t i) const { return g_one_[i]; }
   double g_zero(size_t i) const { return g_zero_[i]; }
 
+  /// Integer form of bias i: ceil(p_i * 2^53). See BitOf.
+  uint64_t bias_threshold(size_t i) const { return thresholds_[i]; }
+
+  /// The one bit rule: a PRNG draw gives codeword bit 1 at a position with
+  /// bias threshold `threshold` iff its top 53 bits u satisfy u < threshold.
+  /// Since u * 2^-53 and p * 2^53 are exact, this is exactly
+  /// Rng::NextDouble() < p — the rule every codeword was drawn with.
+  static bool BitOf(uint64_t draw, uint64_t threshold) {
+    return (draw >> 11) < threshold;
+  }
+
+  /// The PRNG recipient's codeword is drawn from: one step per position.
+  Rng WordRng(uint64_t recipient) const;
+
   /// Sequential codeword bits of one recipient; draws exactly one PRNG step
   /// per position, so early-exiting scans stay aligned with CodewordOf.
   class Stream {
    public:
-    bool NextBit() { return rng_.NextDouble() < code_->biases_[pos_++]; }
+    bool NextBit() { return BitOf(rng_.Next(), code_->thresholds_[pos_++]); }
 
    private:
     friend class TardosCode;
@@ -102,6 +116,7 @@ class TardosCode {
   double cutoff_ = 0;
   PrfKey word_key_;
   std::vector<double> biases_;
+  std::vector<uint64_t> thresholds_;
   std::vector<double> g_one_;
   std::vector<double> g_zero_;
 };
@@ -151,9 +166,15 @@ struct TraceOptions {
   /// Fully-scored candidates to report in TraceResult::top.
   size_t top_k = 8;
   /// Sound score pruning: a candidate whose running score plus the best
-  /// possible remainder cannot reach prune_frac * threshold is abandoned
-  /// mid-scan. Accusations are unaffected (the bound is conservative and
-  /// prune_frac <= 1); `top` then only covers candidates that finished.
+  /// possible remainder (the suffix sum of max(0, s1, s0)) falls below
+  /// prune_frac * threshold is abandoned mid-scan. The bound is checked every
+  /// 16 positions and after the last one. Those checks are a subset of a
+  /// check at every position, and since score + remainder never increases
+  /// along the scan (each term is at most its max(0, s1, s0)), in exact
+  /// arithmetic they prune the same candidates: one that fails the bound at
+  /// position i still fails it at the next checkpoint. Accusations are
+  /// unaffected (the bound is conservative and prune_frac <= 1); `top` then
+  /// only covers candidates that finished.
   bool prune = true;
   double prune_frac = 0.5;
 };
@@ -224,10 +245,11 @@ class FingerprintedWatermark {
                              uint64_t candidates) const;
 
   /// Scores candidates 0..candidates-1 against one observation: a parallel
-  /// flat-array scan over the pool (QPWM_THREADS), bit-identical to the
-  /// serial scan for any thread count. Accuses every candidate whose score
-  /// clears AccusationThreshold; an empty accused set degrades the verdict
-  /// instead of lowering the bar.
+  /// flat-array scan over the pool (QPWM_THREADS) that scores four
+  /// candidates per pass, bit-identical to a serial one-candidate scan for
+  /// any thread count. Accuses every candidate whose score clears
+  /// AccusationThreshold; an empty accused set degrades the verdict instead
+  /// of lowering the bar.
   TraceResult TraceMany(const FingerprintObservation& obs, uint64_t candidates,
                         const TraceOptions& options = {}) const;
 

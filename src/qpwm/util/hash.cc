@@ -75,6 +75,10 @@ uint64_t Prf(const PrfKey& key, const std::vector<uint64_t>& words) {
   return SipHash24(key, words.data(), words.size() * sizeof(uint64_t));
 }
 
+uint64_t Prf(const PrfKey& key, uint64_t word) {
+  return SipHash24(key, &word, sizeof(word));
+}
+
 uint64_t Prf(const PrfKey& key, std::string_view s) {
   return SipHash24(key, s.data(), s.size());
 }

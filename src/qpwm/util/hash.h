@@ -50,6 +50,10 @@ uint64_t SipHash24(const PrfKey& key, const void* data, size_t len);
 /// Keyed PRF over a sequence of 64-bit words (tuple ids, element ids...).
 uint64_t Prf(const PrfKey& key, const std::vector<uint64_t>& words);
 
+/// The PRF of a single word: equal to Prf(key, std::vector<uint64_t>{word}),
+/// without the allocation (hot per-candidate seeding).
+uint64_t Prf(const PrfKey& key, uint64_t word);
+
 /// Keyed PRF of a string (e.g. a relational primary key rendered as text).
 uint64_t Prf(const PrfKey& key, std::string_view s);
 

@@ -43,13 +43,18 @@ class ThreadPool {
     const size_t want = total_threads == 0 ? 0 : total_threads - 1;
     if (want == workers_.size()) return;
     Shutdown();
+    uint64_t generation = 0;
     {
       std::lock_guard<std::mutex> job_lock(mu_);
       stop_ = false;
+      generation = generation_;
     }
+    // New workers wait for the next Run: a worker that took an earlier
+    // generation for a job would drain a null body_ and decrement active_
+    // outside any Run.
     workers_.reserve(want);
     for (size_t i = 0; i < want; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, generation] { WorkerLoop(generation); });
     }
   }
 
@@ -101,8 +106,7 @@ class ThreadPool {
 
   void Drain(const std::function<void(size_t)>& body);
 
-  void WorkerLoop() {
-    uint64_t seen = 0;
+  void WorkerLoop(uint64_t seen) {
     for (;;) {
       const std::function<void(size_t)>* body;
       {

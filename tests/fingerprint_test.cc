@@ -1,10 +1,14 @@
 // Accusation-soundness tests for the Tardos fingerprinting layer: code
 // determinism, honest single-copy tracing against plain CodedWatermark
 // detection, zero innocent accusations across a seed grid of honest and
-// colluded runs, graceful degradation past the design coalition size, and
-// thread-count invariance of TraceMany (wired into the TSan CI job).
+// colluded runs, graceful degradation past the design coalition size,
+// thread-count invariance of TraceMany (wired into the TSan CI job), and
+// bit-for-bit agreement of codewords and the lockstep trace scan with the
+// scalar reference in trace_oracle.h.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "qpwm/coding/coded_watermark.h"
@@ -17,6 +21,7 @@
 #include "qpwm/structure/generators.h"
 #include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
+#include "trace_oracle.h"
 
 namespace qpwm {
 namespace {
@@ -257,6 +262,111 @@ TEST(FingerprintTest, TraceManyThreadIdentical) {
     }
   }
   SetParallelThreads(0);
+}
+
+// Every codeword ever handed out was drawn with the floating-point rule
+// NextDouble() < p_i; the integer threshold rule must reproduce it exactly,
+// or copies already distributed would stop tracing.
+TEST(FingerprintTest, CodewordsMatchOracleStream) {
+  for (uint64_t seed : {1u, 0x5EEDu}) {
+    for (size_t length : {1u, 63u, 500u, 7576u}) {
+      TardosOptions opts;
+      opts.seed = seed;
+      TardosCode code(length, opts);
+      for (size_t i = 0; i < length; ++i) {
+        // thr = ceil(p * 2^53) is the first 53-bit draw that gives bit 0.
+        const uint64_t thr = code.bias_threshold(i);
+        ASSERT_LT(std::ldexp(static_cast<double>(thr - 1), -53), code.bias(i));
+        ASSERT_GE(std::ldexp(static_cast<double>(thr), -53), code.bias(i));
+      }
+      for (uint64_t r = 0; r < 1000; ++r) {
+        ASSERT_EQ(code.CodewordOf(r), oracle::CodewordOf(code, r))
+            << "seed " << seed << " length " << length << " recipient " << r;
+      }
+    }
+  }
+}
+
+void ExpectSameTrace(const TraceResult& got, const TraceResult& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.kind, want.kind) << where;
+  EXPECT_EQ(got.threshold, want.threshold) << where;
+  EXPECT_EQ(got.max_achievable, want.max_achievable) << where;
+  EXPECT_EQ(got.pruned, want.pruned) << where;
+  ASSERT_EQ(got.accused.size(), want.accused.size()) << where;
+  for (size_t i = 0; i < want.accused.size(); ++i) {
+    EXPECT_EQ(got.accused[i].recipient, want.accused[i].recipient) << where;
+    EXPECT_EQ(got.accused[i].score, want.accused[i].score) << where;
+    EXPECT_EQ(got.accused[i].log10_fp, want.accused[i].log10_fp) << where;
+  }
+  ASSERT_EQ(got.top.size(), want.top.size()) << where;
+  for (size_t i = 0; i < want.top.size(); ++i) {
+    EXPECT_EQ(got.top[i].recipient, want.top[i].recipient) << where;
+    EXPECT_EQ(got.top[i].score, want.top[i].score) << where;
+    EXPECT_EQ(got.top[i].log10_fp, want.top[i].log10_fp) << where;
+  }
+}
+
+// The lockstep scan against the one-candidate, prune-every-position oracle:
+// pools that leave partial lane groups (1, 3, 5, 17, 4099) or none (4),
+// 1 and 3 threads (3 threads splits the pool into 24 blocks whose edges
+// fall mid-group), pruning off and at three fractions, over honest, single-
+// leaker and colluded observations.
+TEST(FingerprintTest, TraceManyMatchesScalarOracle) {
+  Fixture s(6000, 13);
+  AdversarialScheme adv(*s.scheme, 3);
+  IdentityCodec codec;
+  CodedWatermark wm(adv, codec);
+
+  TardosOptions topts;
+  topts.design_c = 2;
+  topts.seed = 131;
+  FingerprintedWatermark fp(wm, topts);
+
+  WeightMap single = fp.EmbedFor(s.weights, 0);
+  WeightMap copy_a = fp.EmbedFor(s.weights, 2);
+  WeightMap copy_b = fp.EmbedFor(s.weights, 4098);
+  Rng arng(137);
+  WeightMap colluded =
+      InterleavingCollusion(32).Forge({&copy_a, &copy_b}, arng).ValueOrDie();
+  const std::vector<std::pair<std::string, const WeightMap*>> suspects = {
+      {"honest", &s.weights}, {"single", &single}, {"colluded", &colluded}};
+
+  std::vector<TraceOptions> modes(4);
+  modes[0].prune = false;
+  modes[1].prune_frac = 0.25;
+  modes[2].prune_frac = 0.5;
+  modes[3].prune_frac = 1.0;
+
+  bool saw_partial_prune = false;
+  bool saw_accusation = false;
+  for (const auto& [name, weights] : suspects) {
+    HonestServer server(*s.index, *weights);
+    FingerprintObservation obs = fp.Observe(s.weights, server).ValueOrDie();
+    for (size_t m = 0; m < modes.size(); ++m) {
+      for (uint64_t pool : {1u, 3u, 4u, 5u, 17u, 4099u}) {
+        const TraceResult want = oracle::TraceMany(fp, obs, pool, modes[m]);
+        saw_partial_prune |= want.pruned > 0 && want.pruned < pool;
+        saw_accusation |= !want.accused.empty();
+        for (size_t threads : {1u, 3u}) {
+          SetParallelThreads(threads);
+          const TraceResult got = fp.TraceMany(obs, pool, modes[m]);
+          const std::string where = name + " mode " + std::to_string(m) +
+                                    " pool " + std::to_string(pool) +
+                                    " threads " + std::to_string(threads);
+          ExpectSameTrace(got, want, where);
+          for (const Accusation& a : got.accused) {
+            EXPECT_EQ(a.score, fp.Score(obs, a.recipient)) << where;
+            EXPECT_EQ(a.score, oracle::Score(fp.code(), obs, a.recipient))
+                << where;
+          }
+        }
+      }
+    }
+  }
+  SetParallelThreads(0);
+  EXPECT_TRUE(saw_partial_prune);
+  EXPECT_TRUE(saw_accusation);
 }
 
 }  // namespace

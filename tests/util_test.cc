@@ -2,6 +2,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "qpwm/util/bitvec.h"
 #include "qpwm/util/hash.h"
@@ -131,6 +132,16 @@ TEST(HashTest, SipHashReferenceVector) {
 TEST(HashTest, PrfKeyedDiffers) {
   PrfKey k1{1, 2}, k2{1, 3};
   EXPECT_NE(Prf(k1, "hello"), Prf(k2, "hello"));
+}
+
+TEST(HashTest, SingleWordPrfMatchesWordVector) {
+  PrfKey key{0x0706050403020100ULL, 0x0F0E0D0C0B0A0908ULL};
+  for (uint64_t w : {0ULL, 1ULL, 42ULL, 0x8000000000000000ULL, ~0ULL}) {
+    EXPECT_EQ(Prf(key, w), Prf(key, std::vector<uint64_t>{w})) << w;
+    EXPECT_EQ(Prf(key.Derive(7), w),
+              Prf(key.Derive(7), std::vector<uint64_t>{w}))
+        << w;
+  }
 }
 
 TEST(HashTest, DeriveGivesIndependentSubkeys) {

@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -192,20 +193,32 @@ Result<size_t> ParseRedundancy(const Args& args) {
 // exits 0 (traced), 1 (no mark) or 3 (untraceable) — never accusing anyone
 // whose score clears less than the pool-wide false-positive budget.
 
+// Largest --fingerprint candidate pool. A trace scans every candidate
+// (about 15 us each for a 7.5k-bit code on one core), so 10^8 bounds a
+// trace at under half an hour of one core; a larger pool is a usage error,
+// not a scan that never ends.
+constexpr uint64_t kMaxFingerprintPool = 100000000;
+
 // Strict unsigned parse for an optional flag; `min_value` guards nonsense
-// like a zero-sized candidate pool.
-Result<uint64_t> ParseU64Flag(const Args& args, const std::string& flag,
-                              uint64_t fallback, uint64_t min_value) {
+// like a zero-sized candidate pool, `max_value` one too large to serve.
+Result<uint64_t> ParseU64Flag(
+    const Args& args, const std::string& flag, uint64_t fallback,
+    uint64_t min_value,
+    uint64_t max_value = std::numeric_limits<uint64_t>::max()) {
   if (!args.Has(flag)) return fallback;
   const std::string text = args.GetOr(flag, "");
   char* end = nullptr;
   errno = 0;
   const uint64_t value = std::strtoull(text.c_str(), &end, 10);
   if (text.empty() || end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text[0] == '-' || value < min_value) {
+      text[0] == '-' || value < min_value || value > max_value) {
+    const std::string range =
+        max_value == std::numeric_limits<uint64_t>::max()
+            ? StrCat(">= ", min_value)
+            : StrCat("in [", min_value, ", ", max_value, "]");
     return Status::InvalidArgument(StrCat("--", flag,
-                                          " needs an unsigned integer >= ",
-                                          min_value, ", got '", text, "'"));
+                                          " needs an unsigned integer ", range,
+                                          ", got '", text, "'"));
   }
   return value;
 }
@@ -229,7 +242,7 @@ Result<WeightMap> FingerprintMark(const Args& args,
     return Status::InvalidArgument(
         "--mark and --fingerprint are mutually exclusive");
   }
-  auto pool = ParseU64Flag(args, "fingerprint", 0, 1);
+  auto pool = ParseU64Flag(args, "fingerprint", 0, 1, kMaxFingerprintPool);
   if (!pool.ok()) return pool.status();
   if (!args.Has("recipient")) {
     return Status::InvalidArgument("--fingerprint marking needs --recipient");
@@ -266,7 +279,7 @@ Result<int> FingerprintTrace(const Args& args, const AdversarialScheme& adv,
     return Status::InvalidArgument(
         "--mark and --fingerprint are mutually exclusive");
   }
-  auto pool = ParseU64Flag(args, "fingerprint", 0, 1);
+  auto pool = ParseU64Flag(args, "fingerprint", 0, 1, kMaxFingerprintPool);
   if (!pool.ok()) return pool.status();
   auto codec = MakeCodec(args.GetOr("codec", "identity"));
   if (!codec.ok()) return codec.status();
@@ -857,7 +870,8 @@ void Usage() {
       "                  groups, decode with soft margins, and report a verdict\n"
       "                  with a false-positive bound; identity (or omitting the\n"
       "                  flag) keeps the raw channel path\n"
-      "  --fingerprint N fingerprint mode over an N-candidate Tardos code.\n"
+      "  --fingerprint N fingerprint mode over an N-candidate Tardos code,\n"
+      "                  1 <= N <= " << kMaxFingerprintPool << ".\n"
       "                  mark-*: embed --recipient R's codeword (R < N);\n"
       "                  detect-*: trace the suspect against all N codewords\n"
       "                  and print any accusations with their false-positive\n"
