@@ -22,13 +22,35 @@ QueryIndex::QueryIndex(const Structure& g, const ParametricQuery& query,
         return query.Evaluate(g, domain_[i]);
       });
 
+  // Unary parameters and results intern through dense per-element arrays
+  // (one read per tuple); other arities through tuple-keyed hash maps.
+  // Duplicate domain entries resolve to their first position either way.
+  const bool unary_params = query.ParamArity() == 1;
+  const bool unary_results = query.ResultArity() == 1;
+  if (unary_params) param_of_elem_.assign(g.universe_size(), -1);
+  if (unary_results) active_of_elem_.assign(g.universe_size(), -1);
   results_.resize(domain_.size());
   for (size_t i = 0; i < domain_.size(); ++i) {
-    param_index_.emplace(domain_[i], static_cast<uint32_t>(i));
+    if (unary_params) {
+      const ElemId p = domain_[i][0];
+      QPWM_CHECK_LT(p, param_of_elem_.size());
+      if (param_of_elem_[p] < 0) param_of_elem_[p] = static_cast<int32_t>(i);
+    } else {
+      param_index_.emplace(domain_[i], static_cast<uint32_t>(i));
+    }
     auto& row = results_[i];
     row.reserve(raw[i].size());
     for (Tuple& t : raw[i]) {
       QPWM_CHECK_EQ(t.size(), query.ResultArity());
+      if (unary_results) {
+        int32_t& id = active_of_elem_[t[0]];
+        if (id < 0) {
+          id = static_cast<int32_t>(active_.size());
+          active_.push_back(std::move(t));
+        }
+        row.push_back(static_cast<uint32_t>(id));
+        continue;
+      }
       auto [it, inserted] =
           active_index_.emplace(t, static_cast<uint32_t>(active_.size()));
       if (inserted) active_.push_back(std::move(t));
@@ -43,21 +65,27 @@ QueryIndex::QueryIndex(const Structure& g, const ParametricQuery& query,
       containing_[w].push_back(static_cast<uint32_t>(i));
     }
   }
-  if (query.ResultArity() == 1) {
-    active_of_elem_.assign(g.universe_size(), -1);
-    for (size_t w = 0; w < active_.size(); ++w) {
-      active_of_elem_[active_[w][0]] = static_cast<int32_t>(w);
-    }
-  }
 }
 
 Result<size_t> QueryIndex::FindParam(const Tuple& params) const {
+  if (query_->ParamArity() == 1) {
+    if (params.size() == 1 && params[0] < param_of_elem_.size() &&
+        param_of_elem_[params[0]] >= 0) {
+      return static_cast<size_t>(param_of_elem_[params[0]]);
+    }
+    return Status::NotFound("parameter outside domain");
+  }
   auto it = param_index_.find(params);
   if (it == param_index_.end()) return Status::NotFound("parameter outside domain");
   return static_cast<size_t>(it->second);
 }
 
 Result<size_t> QueryIndex::FindActive(const Tuple& t) const {
+  if (query_->ResultArity() == 1) {
+    const int32_t id = t.size() == 1 ? ActiveIdOfElem(t[0]) : -1;
+    if (id < 0) return Status::NotFound("tuple is not an active element");
+    return static_cast<size_t>(id);
+  }
   auto it = active_index_.find(t);
   if (it == active_index_.end()) return Status::NotFound("tuple is not an active element");
   return static_cast<size_t>(it->second);

@@ -85,6 +85,7 @@ struct DetectOptions {
 /// are both kept, since the schemes need both directions.
 class QueryIndex {
  public:
+  /// With a 1-parameter query, every domain element must lie in g's universe.
   // qpwm-lint: allow(legacy-tuple-vector) — sink parameter; the index owns its query-parameter domain
   QueryIndex(const Structure& g, const ParametricQuery& query, std::vector<Tuple> domain);
 
@@ -152,10 +153,11 @@ class QueryIndex {
   const ParametricQuery* query_;
   // qpwm-lint: allow(legacy-tuple-vector) — owned query-parameter domain, not relation rows
   std::vector<Tuple> domain_;
-  std::unordered_map<Tuple, uint32_t, TupleHash> param_index_;
+  std::unordered_map<Tuple, uint32_t, TupleHash> param_index_;  // param arity != 1
+  std::vector<int32_t> param_of_elem_;  // param arity 1 only; -1 = outside domain
   // qpwm-lint: allow(legacy-tuple-vector) — active parameter subset; param tuples, not relation rows
   std::vector<Tuple> active_;
-  std::unordered_map<Tuple, uint32_t, TupleHash> active_index_;
+  std::unordered_map<Tuple, uint32_t, TupleHash> active_index_;  // result arity != 1
   std::vector<int32_t> active_of_elem_;  // result arity 1 only; -1 = inactive
   std::vector<std::vector<uint32_t>> results_;     // param -> active indices (sorted)
   std::vector<std::vector<uint32_t>> containing_;  // active -> params (sorted)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <set>
+#include <span>
 
 #include "qpwm/logic/locality.h"
 #include "qpwm/util/check.h"
@@ -11,11 +12,21 @@
 namespace qpwm {
 
 struct ConjunctiveQuery::Index {
-  // For each body atom: the resolved relation and, per position, value ->
-  // indices of tuples carrying that value there.
+  // Per relation position, CSR-packed: the indices of the tuples carrying
+  // value v there are tuple_ids[offsets[v], offsets[v + 1]), ascending.
+  struct PositionIndex {
+    std::vector<uint32_t> offsets;  // universe_size + 1
+    std::vector<uint32_t> tuple_ids;
+
+    std::span<const uint32_t> TuplesWith(ElemId v) const {
+      if (v + size_t{1} >= offsets.size()) return {};
+      return {tuple_ids.data() + offsets[v], offsets[v + 1] - offsets[v]};
+    }
+  };
+  // For each body atom: the resolved relation and its per-position indexes.
   struct AtomIndex {
     const Relation* relation = nullptr;
-    std::vector<std::unordered_map<ElemId, std::vector<uint32_t>>> by_pos;
+    std::vector<PositionIndex> by_pos;
   };
   std::vector<AtomIndex> atoms;
 };
@@ -142,11 +153,16 @@ const ConjunctiveQuery::Index& ConjunctiveQuery::GetIndex(const Structure& g) co
     QPWM_CHECK_EQ(rel.arity(), body_[a].terms.size());
     index->atoms[a].relation = &rel;
     index->atoms[a].by_pos.resize(rel.arity());
-    for (uint32_t t = 0; t < rel.size(); ++t) {
-      const TupleRef tuple = rel.tuple(t);
-      for (size_t pos = 0; pos < tuple.size(); ++pos) {
-        index->atoms[a].by_pos[pos][tuple[pos]].push_back(t);
-      }
+    const size_t n = g.universe_size();
+    for (size_t pos = 0; pos < rel.arity(); ++pos) {
+      // Count, prefix-sum, then fill in tuple order so each list ascends.
+      Index::PositionIndex& pi = index->atoms[a].by_pos[pos];
+      pi.offsets.assign(n + 1, 0);
+      for (uint32_t t = 0; t < rel.size(); ++t) ++pi.offsets[rel.tuple(t)[pos] + 1];
+      for (size_t v = 0; v < n; ++v) pi.offsets[v + 1] += pi.offsets[v];
+      pi.tuple_ids.resize(rel.size());
+      std::vector<uint32_t> cursor(pi.offsets.begin(), pi.offsets.end() - 1);
+      for (uint32_t t = 0; t < rel.size(); ++t) pi.tuple_ids[cursor[rel.tuple(t)[pos]]++] = t;
     }
   }
   it->second.generation = g.generation();
@@ -184,24 +200,26 @@ std::vector<Tuple> ConjunctiveQuery::Evaluate(const Structure& g,
     const Index::AtomIndex& ai = index.atoms[atom_idx];
 
     // Narrow with the most selective bound position, if any.
-    const std::vector<uint32_t>* candidates = nullptr;
+    std::span<const uint32_t> candidates;
+    bool narrowed = false;
     std::vector<uint32_t> all;
     for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
       ElemId v = term_value(atom.terms[pos]);
       if (v == kUnbound) continue;
-      auto hit = ai.by_pos[pos].find(v);
-      if (hit == ai.by_pos[pos].end()) return;  // no tuple matches: dead end
-      if (candidates == nullptr || hit->second.size() < candidates->size()) {
-        candidates = &hit->second;
+      const std::span<const uint32_t> hit = ai.by_pos[pos].TuplesWith(v);
+      if (hit.empty()) return;  // no tuple matches: dead end
+      if (!narrowed || hit.size() < candidates.size()) {
+        candidates = hit;
+        narrowed = true;
       }
     }
-    if (candidates == nullptr) {
+    if (!narrowed) {
       all.resize(ai.relation->size());
       for (uint32_t t = 0; t < all.size(); ++t) all[t] = t;
-      candidates = &all;
+      candidates = all;
     }
 
-    for (uint32_t t : *candidates) {
+    for (uint32_t t : candidates) {
       const TupleRef tuple = ai.relation->tuple(t);
       // Check consistency and bind.
       std::vector<std::pair<const CqTerm*, ElemId>> bound;

@@ -8,15 +8,24 @@ namespace qpwm {
 namespace {
 
 // Splits one CSV record honoring quotes; advances `pos` past the record's
-// trailing newline. Returns false at end of input.
+// trailing newline. Returns false at end of input, or with `error` set when
+// the record breaks a column or field-length limit.
 bool NextRecord(std::string_view csv, size_t& pos, std::vector<std::string>& fields,
-                Status& error) {
+                const CsvParseLimits& limits, Status& error) {
   fields.clear();
   if (pos >= csv.size()) return false;
   std::string field;
   bool in_quotes = false;
   bool any = false;
+  // Checked per byte, so an oversized field is never copied out whole.
+  auto field_too_long = [&] {
+    if (limits.max_field_bytes == 0 || field.size() <= limits.max_field_bytes) return false;
+    error = Status::ParseError(StrCat("field exceeds limit ", limits.max_field_bytes,
+                                      " bytes at offset ", pos));
+    return true;
+  };
   while (pos < csv.size()) {
+    if (field_too_long()) return false;
     char c = csv[pos];
     if (in_quotes) {
       if (c == '"') {
@@ -39,6 +48,11 @@ bool NextRecord(std::string_view csv, size_t& pos, std::vector<std::string>& fie
       continue;
     }
     if (c == ',') {
+      if (limits.max_columns > 0 && fields.size() + 1 >= limits.max_columns) {
+        error = Status::ParseError(StrCat("record exceeds limit ", limits.max_columns,
+                                          " columns at offset ", pos));
+        return false;
+      }
       fields.push_back(std::move(field));
       field.clear();
       any = true;
@@ -53,6 +67,7 @@ bool NextRecord(std::string_view csv, size_t& pos, std::vector<std::string>& fie
     any = true;
     ++pos;
   }
+  if (field_too_long()) return false;
   if (in_quotes) {
     error = Status::ParseError("unterminated quoted field");
     return false;
@@ -77,12 +92,16 @@ std::string EscapeField(const std::string& s) {
 }  // namespace
 
 Result<Table> TableFromCsv(std::string name, std::vector<ColumnSpec> columns,
-                           std::string_view csv) {
+                           std::string_view csv, const CsvParseLimits& limits) {
+  if (limits.max_bytes > 0 && csv.size() > limits.max_bytes) {
+    return Status::ParseError(StrCat("CSV input of ", csv.size(),
+                                     " bytes exceeds limit ", limits.max_bytes));
+  }
   size_t pos = 0;
   std::vector<std::string> fields;
   Status error = Status::OK();
 
-  if (!NextRecord(csv, pos, fields, error)) {
+  if (!NextRecord(csv, pos, fields, limits, error)) {
     return error.ok() ? Status::ParseError("empty CSV") : error;
   }
   if (fields.size() != columns.size()) {
@@ -99,8 +118,12 @@ Result<Table> TableFromCsv(std::string name, std::vector<ColumnSpec> columns,
 
   Table table(std::move(name), std::move(columns));
   size_t line = 1;
-  while (NextRecord(csv, pos, fields, error)) {
+  while (NextRecord(csv, pos, fields, limits, error)) {
     ++line;
+    if (limits.max_rows > 0 && table.num_rows() >= limits.max_rows) {
+      return Status::ParseError(StrCat("CSV exceeds limit ", limits.max_rows,
+                                       " rows at row ", line));
+    }
     if (fields.size() != table.columns().size()) {
       return Status::ParseError(StrCat("row ", line, " has ", fields.size(),
                                        " field(s)"));
@@ -118,7 +141,7 @@ Result<Table> TableFromCsv(std::string name, std::vector<ColumnSpec> columns,
         }
         row.emplace_back(value);
       } else {
-        row.emplace_back(fields[c]);
+        row.emplace_back(std::move(fields[c]));
       }
     }
     QPWM_RETURN_NOT_OK(table.AddRow(std::move(row)));

@@ -1,5 +1,7 @@
 #include "qpwm/relational/table.h"
 
+#include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 #include "qpwm/util/check.h"
@@ -84,66 +86,97 @@ Result<Table*> Database::FindMutable(const std::string& name) {
 }
 
 Result<RelationalInstance> ToWeightedStructure(const Database& db) {
-  // Pass 1: intern every distinct key value.
-  std::unordered_map<std::string, ElemId> intern;
-  std::vector<std::string> names;
-  auto intern_value = [&](const std::string& v) {
-    auto [it, inserted] = intern.emplace(v, static_cast<ElemId>(names.size()));
-    if (inserted) names.push_back(v);
-    return it->second;
+  // Per table: its key columns and, per weight column, the position among
+  // the key columns of the key that carries the weight.
+  struct TablePlan {
+    std::vector<size_t> key_cols;
+    std::vector<std::pair<size_t, size_t>> weights;  // (weight column, key position)
+    size_t first_cell = 0;  // offset of the table's rows in `cells`
   };
-  for (const Table& t : db.tables()) {
-    for (size_t r = 0; r < t.num_rows(); ++r) {
-      for (size_t c = 0; c < t.columns().size(); ++c) {
-        if (t.columns()[c].role == ColumnRole::kKey) intern_value(t.KeyAt(r, c));
-      }
-    }
-  }
-
-  // Pass 2: build signature / relations over key columns.
-  Signature sig;
-  for (const Table& t : db.tables()) {
-    uint32_t key_arity = 0;
-    for (const ColumnSpec& c : t.columns()) {
-      if (c.role == ColumnRole::kKey) ++key_arity;
-    }
-    sig.AddRelation(t.name(), key_arity);
-  }
-
-  RelationalInstance out;
-  out.structure = Structure(std::move(sig), names.size());
-  for (ElemId e = 0; e < names.size(); ++e) {
-    out.structure.SetElementName(e, names[e]);
-  }
-  out.weights = WeightMap(1, names.size());
-
-  std::vector<bool>& has_weight = out.has_weight;
-  has_weight.assign(names.size(), false);
+  std::vector<TablePlan> plans(db.tables().size());
+  size_t total_cells = 0;
   for (size_t ti = 0; ti < db.tables().size(); ++ti) {
     const Table& t = db.tables()[ti];
-    for (size_t r = 0; r < t.num_rows(); ++r) {
-      Tuple tuple;
-      for (size_t c = 0; c < t.columns().size(); ++c) {
-        if (t.columns()[c].role == ColumnRole::kKey) {
-          tuple.push_back(intern.at(t.KeyAt(r, c)));
-        }
-      }
-      out.structure.AddTuple(ti, std::move(tuple));
+    TablePlan& plan = plans[ti];
+    for (size_t c = 0; c < t.columns().size(); ++c) {
+      if (t.columns()[c].role == ColumnRole::kKey) plan.key_cols.push_back(c);
+    }
+    for (size_t c : t.WeightColumns()) {
+      const size_t key_col = t.ColumnIndex(t.columns()[c].weight_of).ValueOrDie();
+      auto pos = std::find(plan.key_cols.begin(), plan.key_cols.end(), key_col);
+      // Weights attach to key columns (only enforced once a row needs it).
+      QPWM_CHECK(pos != plan.key_cols.end() || t.num_rows() == 0);
+      plan.weights.emplace_back(c, static_cast<size_t>(pos - plan.key_cols.begin()));
+    }
+    plan.first_cell = total_cells;
+    total_cells += t.num_rows() * plan.key_cols.size();
+  }
 
-      for (size_t c : t.WeightColumns()) {
-        size_t key_col = t.ColumnIndex(t.columns()[c].weight_of).ValueOrDie();
-        ElemId e = intern.at(t.KeyAt(r, key_col));
-        Weight w = t.WeightAt(r, c);
+  // Intern every key cell once, ids in first-appearance order (table, row,
+  // column); `cells` keeps each row's key ids, row-major per table. The views
+  // point into `db`, which outlives this function.
+  std::unordered_map<std::string_view, ElemId> intern;
+  intern.reserve(total_cells);
+  std::vector<std::string_view> names;
+  std::vector<ElemId> cells(total_cells);
+  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
+    const Table& t = db.tables()[ti];
+    ElemId* out = cells.data() + plans[ti].first_cell;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      const std::vector<Cell>& row = t.row(r);
+      for (size_t c : plans[ti].key_cols) {
+        const std::string_view v = std::get<std::string>(row[c]);
+        auto [it, inserted] = intern.try_emplace(v, static_cast<ElemId>(names.size()));
+        if (inserted) names.push_back(v);
+        *out++ = it->second;
+      }
+    }
+  }
+
+  Signature sig;
+  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
+    sig.AddRelation(db.tables()[ti].name(),
+                    static_cast<uint32_t>(plans[ti].key_cols.size()));
+  }
+  const size_t n = names.size();
+  RelationalInstance out;
+  out.structure = Structure(std::move(sig), n);
+  out.weights = WeightMap(1, n);
+  std::vector<bool>& has_weight = out.has_weight;
+  has_weight.assign(n, false);
+
+  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
+    const Table& t = db.tables()[ti];
+    const TablePlan& plan = plans[ti];
+    const size_t arity = plan.key_cols.size();
+    const ElemId* rows = cells.data() + plan.first_cell;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      for (const auto& [c, key_pos] : plan.weights) {
+        const ElemId e = rows[r * arity + key_pos];
+        const Weight w = t.WeightAt(r, c);
         if (has_weight[e] && out.weights.GetElem(e) != w) {
-          return Status::InvalidArgument("element '" + names[e] +
+          return Status::InvalidArgument("element '" + std::string(names[e]) +
                                          "' receives two different weights");
         }
         has_weight[e] = true;
         out.weights.SetElem(e, w);
       }
     }
+
+    // The relation is the sorted set of distinct key tuples.
+    if (arity == 0) {
+      if (t.num_rows() > 0) out.structure.AddTuple(ti, Tuple{});
+      continue;
+    }
+    std::vector<ElemId> flat(rows, rows + t.num_rows() * arity);
+    SortUniqueRecords(flat, static_cast<uint32_t>(arity));
+    out.structure.mutable_relation(ti).SwapFlatUnchecked(flat);
   }
-  out.structure.Seal();
+
+  std::vector<std::string> owned;
+  owned.reserve(n);
+  for (std::string_view v : names) owned.emplace_back(v);
+  out.structure.SetElementNames(std::move(owned));
   return out;
 }
 
@@ -151,7 +184,7 @@ Result<Database> ApplyWeightsToDatabase(const Database& db,
                                         const RelationalInstance& instance,
                                         const WeightMap& weights) {
   Database out = db;
-  for (Table& t : const_cast<std::vector<Table>&>(out.tables())) {
+  for (Table& t : out.mutable_tables()) {
     for (size_t c : t.WeightColumns()) {
       size_t key_col = t.ColumnIndex(t.columns()[c].weight_of).ValueOrDie();
       for (size_t r = 0; r < t.num_rows(); ++r) {

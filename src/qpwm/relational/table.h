@@ -65,6 +65,7 @@ class Database {
  public:
   Table& AddTable(Table t);
   const std::vector<Table>& tables() const { return tables_; }
+  std::vector<Table>& mutable_tables() { return tables_; }
   [[nodiscard]] Result<const Table*> Find(const std::string& name) const;
   [[nodiscard]] Result<Table*> FindMutable(const std::string& name);
 

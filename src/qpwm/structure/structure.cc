@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string_view>
 
 namespace qpwm {
 
@@ -76,28 +77,37 @@ void Relation::SwapFlatUnchecked(std::vector<ElemId>& flat) {
   indexed_count_ = 0;
 }
 
+void SortUniqueRecords(std::vector<ElemId>& flat, uint32_t arity) {
+  if (arity == 0 || flat.size() <= arity) return;
+  if (arity == 1) {
+    std::sort(flat.begin(), flat.end());
+    flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
+    return;
+  }
+  // Record sort via an index permutation, gathered into a fresh buffer
+  // (records are small; a gather beats in-place cycle chasing).
+  const size_t count = flat.size() / arity;
+  std::vector<uint32_t> order(count);
+  std::iota(order.begin(), order.end(), 0u);
+  const ElemId* base = flat.data();
+  auto record = [base, arity](uint32_t i) { return base + size_t{i} * arity; };
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return std::lexicographical_compare(record(x), record(x) + arity, record(y),
+                                        record(y) + arity);
+  });
+  std::vector<ElemId> sorted;
+  sorted.reserve(flat.size());
+  for (size_t i = 0; i < count; ++i) {
+    const ElemId* rec = record(order[i]);
+    if (i > 0 && std::equal(rec, rec + arity, record(order[i - 1]))) continue;
+    sorted.insert(sorted.end(), rec, rec + arity);
+  }
+  flat = std::move(sorted);
+}
+
 void Relation::Seal() {
   if (count_ > 1 && arity_ > 0) {
-    if (arity_ == 1) {
-      std::sort(flat_.begin(), flat_.end());
-    } else {
-      // Record sort via an index permutation, gathered into a fresh buffer
-      // (records are small; a gather beats in-place cycle chasing).
-      std::vector<uint32_t> order(count_);
-      std::iota(order.begin(), order.end(), 0u);
-      const ElemId* base = flat_.data();
-      const uint32_t a = arity_;
-      std::sort(order.begin(), order.end(), [base, a](uint32_t x, uint32_t y) {
-        return std::lexicographical_compare(base + x * a, base + (x + 1) * a,
-                                            base + y * a, base + (y + 1) * a);
-      });
-      std::vector<ElemId> sorted;
-      sorted.reserve(flat_.size());
-      for (uint32_t idx : order) {
-        sorted.insert(sorted.end(), base + idx * a, base + (idx + 1) * a);
-      }
-      flat_ = std::move(sorted);
-    }
+    SortUniqueRecords(flat_, arity_);  // records are distinct: nothing dropped
     // Record positions changed; the membership index rebuilds on next use.
     slots_.clear();
     indexed_count_ = 0;
@@ -147,18 +157,114 @@ void Structure::ResetUniverse(size_t universe_size) {
   n_ = universe_size;
   for (auto& r : relations_) r.ClearKeepCapacity();
   element_names_.clear();
-  name_index_.clear();
+  name_slots_.clear();
+  named_count_ = 0;
   gen_.Bump();
 }
+
+namespace {
+
+// Name-index primitives over (slots, names); see Structure::name_slots_.
+constexpr ElemId kNoName = UINT32_MAX;
+
+size_t NameHash(std::string_view name) { return std::hash<std::string_view>{}(name); }
+
+// Slot holding `e`, or slots.size() if `e` is not indexed.
+size_t FindNameSlot(const std::vector<ElemId>& slots,
+                    const std::vector<std::string>& names, ElemId e) {
+  if (slots.empty()) return 0;
+  const size_t mask = slots.size() - 1;
+  for (size_t pos = NameHash(names[e]) & mask; slots[pos] != kNoName;
+       pos = (pos + 1) & mask) {
+    if (slots[pos] == e) return pos;
+  }
+  return slots.size();
+}
+
+// Indexes `e` under names[e], replacing an element of the same name (last
+// writer wins). Returns true if a new slot was taken. The caller keeps the
+// table at most half full.
+bool InsertName(std::vector<ElemId>& slots, const std::vector<std::string>& names,
+                ElemId e) {
+  const size_t mask = slots.size() - 1;
+  size_t pos = NameHash(names[e]) & mask;
+  for (; slots[pos] != kNoName; pos = (pos + 1) & mask) {
+    if (names[slots[pos]] == names[e]) {
+      slots[pos] = e;
+      return false;
+    }
+  }
+  slots[pos] = e;
+  return true;
+}
+
+// Empties slot `pos`; backward-shift deletion keeps every probe chain intact.
+void EraseNameSlot(std::vector<ElemId>& slots, const std::vector<std::string>& names,
+                   size_t pos) {
+  const size_t mask = slots.size() - 1;
+  size_t hole = pos;
+  for (size_t next = (pos + 1) & mask; slots[next] != kNoName; next = (next + 1) & mask) {
+    // An entry may move into the hole only if its home slot lies outside the
+    // cyclic range (hole, next]; otherwise its probe chain would break.
+    const size_t home = NameHash(names[slots[next]]) & mask;
+    const bool home_in_range =
+        hole <= next ? (hole < home && home <= next) : (hole < home || home <= next);
+    if (!home_in_range) {
+      slots[hole] = slots[next];
+      hole = next;
+    }
+  }
+  slots[hole] = kNoName;
+}
+
+// Re-creates the table with room for `count` names (a power of two at least
+// 2 * (count + 1)), re-inserting the ids it held.
+void ResizeNameSlots(std::vector<ElemId>& slots, const std::vector<std::string>& names,
+                     size_t count) {
+  size_t want = 16;
+  while (want < 2 * (count + 1)) want <<= 1;
+  std::vector<ElemId> old(want, kNoName);
+  old.swap(slots);
+  const size_t mask = want - 1;
+  for (ElemId e : old) {
+    if (e == kNoName) continue;
+    size_t pos = NameHash(names[e]) & mask;
+    while (slots[pos] != kNoName) pos = (pos + 1) & mask;
+    slots[pos] = e;
+  }
+}
+
+}  // namespace
 
 void Structure::SetElementName(ElemId e, std::string name) {
   QPWM_CHECK_LT(e, n_);
   if (element_names_.empty()) element_names_.resize(n_);
-  name_index_[name] = e;
+  // Unindex under the old name before the slot's key changes.
+  const size_t old_slot = FindNameSlot(name_slots_, element_names_, e);
+  if (old_slot < name_slots_.size()) {
+    EraseNameSlot(name_slots_, element_names_, old_slot);
+    --named_count_;
+  }
   element_names_[e] = std::move(name);
+  if (name_slots_.size() < 2 * (named_count_ + 1)) {
+    ResizeNameSlots(name_slots_, element_names_, named_count_ + 1);
+  }
+  if (InsertName(name_slots_, element_names_, e)) ++named_count_;
   // Names feed serialized reports and suspect re-alignment; a rename is a
   // mutation like any other, or pointer-keyed caches keep serving the old
   // identity.
+  gen_.Bump();
+}
+
+void Structure::SetElementNames(std::vector<std::string> names) {
+  QPWM_CHECK_EQ(names.size(), n_);
+  element_names_ = std::move(names);
+  name_slots_.clear();
+  ResizeNameSlots(name_slots_, element_names_, n_);
+  named_count_ = 0;
+  for (ElemId e = 0; e < n_; ++e) {
+    if (InsertName(name_slots_, element_names_, e)) ++named_count_;
+  }
   gen_.Bump();
 }
 
@@ -169,9 +275,14 @@ const std::string& Structure::ElementName(ElemId e) const {
 }
 
 Result<ElemId> Structure::FindElement(const std::string& name) const {
-  auto it = name_index_.find(name);
-  if (it == name_index_.end()) return Status::NotFound("no element named '" + name + "'");
-  return it->second;
+  if (!name_slots_.empty()) {
+    const size_t mask = name_slots_.size() - 1;
+    for (size_t pos = NameHash(name) & mask; name_slots_[pos] != kNoName;
+         pos = (pos + 1) & mask) {
+      if (element_names_[name_slots_[pos]] == name) return name_slots_[pos];
+    }
+  }
+  return Status::NotFound("no element named '" + name + "'");
 }
 
 size_t Structure::TotalTuples() const {

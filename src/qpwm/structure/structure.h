@@ -224,6 +224,10 @@ class Relation {
   mutable size_t indexed_count_ = 0;
 };
 
+/// Sorts `flat` (records of `arity` ids, concatenated) lexicographically and
+/// drops repeated records: the tuple list of a sealed relation.
+void SortUniqueRecords(std::vector<ElemId>& flat, uint32_t arity);
+
 /// Process-unique generation stamp, re-issued on copy/move and bumped on
 /// mutation. Lazy per-structure caches (see logic/query.h) key on the
 /// structure's address, which the allocator happily reuses after a structure
@@ -293,10 +297,16 @@ class Structure {
   /// way instead of constructing a fresh one per element.
   void ResetUniverse(size_t universe_size);
 
-  /// Optional display names.
+  /// Optional display names. Renaming an element drops its old name from
+  /// the lookup index; when two elements share a name, FindElement returns
+  /// the one named last.
   void SetElementName(ElemId e, std::string name);
+  /// Names every element at once: `names[e]` for e < universe_size(). Same
+  /// lookup result as SetElementName over e = 0, 1, ... in order.
+  void SetElementNames(std::vector<std::string> names);
   const std::string& ElementName(ElemId e) const;
-  /// Id of the element named `name`, if any.
+  /// Id of the element named `name`, if any. Const and thread-safe: the
+  /// lookup index is maintained eagerly by the setters.
   [[nodiscard]] Result<ElemId> FindElement(const std::string& name) const;
 
   /// Total number of tuples across relations.
@@ -310,7 +320,12 @@ class Structure {
   size_t n_ = 0;
   std::vector<Relation> relations_;
   std::vector<std::string> element_names_;
-  std::unordered_map<std::string, ElemId> name_index_;
+  // Open-addressing (linear probing) index of named element ids, keyed by
+  // element_names_[id]: entries are compared against the name vector, as
+  // Relation::slots_ compares against its flat tuples, so no name is stored
+  // twice. Holds at most one id per distinct name; kept at most half full.
+  std::vector<ElemId> name_slots_;
+  size_t named_count_ = 0;
   GenerationStamp gen_;
 };
 

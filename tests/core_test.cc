@@ -4,9 +4,12 @@
 #include "qpwm/core/attack.h"
 #include "qpwm/core/distortion.h"
 #include "qpwm/core/pairs.h"
+#include "qpwm/logic/conjunctive.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
+#include "load_oracle.h"
 
 namespace qpwm {
 namespace {
@@ -180,6 +183,76 @@ TEST(AttackTest, JitterFlipsSomeWeights) {
   for (ElemId e = 0; e < 200; ++e) changed += attacked.GetElem(e) != 0;
   EXPECT_GT(changed, 50u);
   EXPECT_LT(changed, 150u);
+}
+
+// Compares a QueryIndex with the tuple-keyed interning oracle: active ids,
+// per-parameter results, the inverse index, and both lookups — including
+// tuples of the wrong size, elements outside the universe, parameters
+// outside the domain and repeated parameters (first position wins).
+void ExpectIndexMatchesOracle(const Structure& g, const ParametricQuery& query,
+                              const std::vector<Tuple>& domain) {
+  const oracle::QueryIndexInterning want(g, query, domain);
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SetParallelThreads(threads);
+    const QueryIndex got(g, query, domain);
+    SetParallelThreads(0);
+    ASSERT_EQ(got.num_active(), want.num_active());
+    for (size_t w = 0; w < want.num_active(); ++w) {
+      EXPECT_EQ(got.active_element(w), want.active_element(w));
+      EXPECT_EQ(got.ParamsContaining(w), want.ParamsContaining(w));
+      EXPECT_EQ(got.FindActive(want.active_element(w)).ValueOrDie(), w);
+    }
+    ASSERT_EQ(got.num_params(), domain.size());
+    for (size_t i = 0; i < domain.size(); ++i) {
+      EXPECT_EQ(got.ResultFor(i), want.ResultFor(i));
+      EXPECT_EQ(got.FindParam(domain[i]).ValueOrDie(), want.FindParam(domain[i]).value());
+    }
+    const size_t n = g.universe_size();
+    std::vector<Tuple> probes = {Tuple{}, Tuple{0, 0, 0}};
+    for (ElemId e = 0; e < n + 3; ++e) probes.push_back(Tuple{e});
+    for (ElemId e = 0; e < std::min<size_t>(n + 2, 12); ++e) {
+      for (ElemId f = 0; f < std::min<size_t>(n + 2, 12); ++f) probes.push_back(Tuple{e, f});
+    }
+    for (const Tuple& t : probes) {
+      auto param = got.FindParam(t);
+      ASSERT_EQ(param.ok(), want.FindParam(t).has_value());
+      if (param.ok()) {
+        EXPECT_EQ(param.value(), want.FindParam(t).value());
+      }
+      auto active = got.FindActive(t);
+      ASSERT_EQ(active.ok(), want.FindActive(t).has_value());
+      if (active.ok()) {
+        EXPECT_EQ(active.value(), want.FindActive(t).value());
+      }
+    }
+  }
+}
+
+TEST(QueryIndexTest, UnaryMatchesGenericOracle) {
+  Rng rng(41);
+  const Structure g = RandomBoundedDegreeGraph(80, 4, 200, false, rng);
+  // A shuffled domain that repeats some parameters and leaves others out.
+  std::vector<Tuple> domain;
+  for (ElemId e = 0; e < g.universe_size(); ++e) {
+    if (rng.Below(5) != 0) domain.push_back(Tuple{e});
+    if (rng.Below(6) == 0) domain.push_back(Tuple{e});
+  }
+  for (size_t i = domain.size(); i > 1; --i) std::swap(domain[i - 1], domain[rng.Below(i)]);
+
+  auto adjacency = AtomQuery::Adjacency("E");
+  ExpectIndexMatchesOracle(g, *adjacency, domain);
+  auto two_hop = ConjunctiveQuery::Parse("E(u1, x1), E(x1, v1)").ValueOrDie();
+  ExpectIndexMatchesOracle(g, two_hop, domain);
+  // Unary parameters with binary results, and binary parameters with unary
+  // results, mix the dense and the hashed interning.
+  auto path = ConjunctiveQuery::Parse("E(u1, v1), E(v1, v2)").ValueOrDie();
+  ExpectIndexMatchesOracle(g, path, domain);
+  auto between = ConjunctiveQuery::Parse("E(u1, v1), E(v1, u2)").ValueOrDie();
+  std::vector<Tuple> pairs = AllParams(g, 2);
+  pairs.resize(pairs.size() / 2);
+  pairs.push_back(pairs.front());
+  ExpectIndexMatchesOracle(g, between, pairs);
 }
 
 TEST(AttackTest, RoundingSnapsToGranularity) {

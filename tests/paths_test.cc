@@ -116,5 +116,63 @@ TEST(CsvTest, CrLfAccepted) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
+// --- CSV parse limits ---------------------------------------------------------
+// Each limit admits input exactly at the limit and rejects one unit over it
+// with a ParseError naming the limit.
+
+void ExpectLimitError(const Result<Table>& t, const std::string& what) {
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kParseError);
+  EXPECT_NE(t.status().message().find(what), std::string::npos) << t.status();
+}
+
+TEST(CsvLimitsTest, BytesLimit) {
+  const std::string csv = "id,amount\na,1\n";  // 14 bytes
+  CsvParseLimits limits;
+  limits.max_bytes = csv.size();
+  EXPECT_TRUE(TableFromCsv("T", SalesColumns(), csv, limits).ok());
+  limits.max_bytes = csv.size() - 1;
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), csv, limits), "exceeds limit 13");
+}
+
+TEST(CsvLimitsTest, RowsLimit) {
+  const std::string csv = "id,amount\na,1\nb,2\nc,3\n";
+  CsvParseLimits limits;
+  limits.max_rows = 3;
+  EXPECT_EQ(TableFromCsv("T", SalesColumns(), csv, limits).ValueOrDie().num_rows(), 3u);
+  limits.max_rows = 2;
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), csv, limits), "limit 2 rows");
+}
+
+TEST(CsvLimitsTest, ColumnsLimit) {
+  CsvParseLimits limits;
+  limits.max_columns = 2;
+  EXPECT_TRUE(TableFromCsv("T", SalesColumns(), "id,amount\na,1\n", limits).ok());
+  // A data row with more fields than the limit fails on the limit, not on
+  // the schema width.
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), "id,amount\na,1,2\n", limits),
+                   "limit 2 columns");
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), "id,amount,x\n", limits),
+                   "limit 2 columns");
+  // The default admits a wide header only up to 1024 fields.
+  std::string wide = "id";
+  for (int i = 0; i < 1024; ++i) wide += ",";
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), wide + "\n"), "limit 1024 columns");
+}
+
+TEST(CsvLimitsTest, FieldLengthLimit) {
+  CsvParseLimits limits;
+  limits.max_field_bytes = 6;  // the header's "amount" is exactly at the limit
+  EXPECT_TRUE(TableFromCsv("T", SalesColumns(), "id,amount\nabcdef,1\n", limits).ok());
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), "id,amount\nabcdefg,1\n", limits),
+                   "field exceeds limit 6");
+  // Quoted fields count their unquoted length; the last field of the input
+  // is checked too.
+  EXPECT_TRUE(
+      TableFromCsv("T", SalesColumns(), "id,amount\n\"a\"\"bcde\",1\n", limits).ok());
+  ExpectLimitError(TableFromCsv("T", SalesColumns(), "id,amount\na,1234567", limits),
+                   "field exceeds limit 6");
+}
+
 }  // namespace
 }  // namespace qpwm

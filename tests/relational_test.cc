@@ -4,6 +4,8 @@
 #include "qpwm/logic/query.h"
 #include "qpwm/relational/table.h"
 #include "qpwm/util/random.h"
+#include "qpwm/util/str.h"
+#include "load_oracle.h"
 
 namespace qpwm {
 namespace {
@@ -109,6 +111,93 @@ TEST(TravelTest, ConflictingWeightsRejected) {
   ASSERT_TRUE(t.AddRow({std::string("a"), Weight{2}}).ok());
   db.AddTable(std::move(t));
   EXPECT_FALSE(ToWeightedStructure(db).ok());
+}
+
+// A random multi-table database for the load oracle: every key column of
+// every table draws from one shared pool (which holds the empty string), so
+// keys recur across columns and tables; rows repeat, some tables are empty,
+// and key columns without a weight column leave key-only elements. Weights
+// are a function of the key unless `conflicts`, which now and then breaks
+// that rule so the conflicting-weights error fires.
+Database RandomLoadDatabase(Rng& rng, bool conflicts) {
+  const size_t pool = 1 + rng.Below(40);
+  auto key = [](size_t i) { return i == 0 ? std::string() : StrCat("k", i); };
+  Database db;
+  const size_t tables = 1 + rng.Below(4);
+  for (size_t ti = 0; ti < tables; ++ti) {
+    const size_t keys = 1 + rng.Below(3);
+    const size_t weights = rng.Below(3);
+    std::vector<ColumnSpec> columns;
+    for (size_t c = 0; c < keys; ++c) {
+      columns.push_back({StrCat("c", c), ColumnRole::kKey, ""});
+    }
+    for (size_t c = 0; c < weights; ++c) {
+      const size_t at = rng.Below(columns.size() + 1);
+      columns.insert(columns.begin() + static_cast<std::ptrdiff_t>(at),
+                     {StrCat("w", c), ColumnRole::kWeight, StrCat("c", rng.Below(keys))});
+    }
+    Table t(StrCat("T", ti), columns);
+    const size_t rows = rng.Below(4) == 0 ? 0 : rng.Below(60);
+    std::vector<size_t> drawn(columns.size());
+    for (size_t r = 0; r < rows; ++r) {
+      if (r == 0 || rng.Below(4) != 0) {  // else repeat the previous row
+        for (size_t& d : drawn) d = rng.Below(pool);
+      }
+      std::vector<Cell> row;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        if (columns[c].role == ColumnRole::kKey) {
+          row.emplace_back(key(drawn[c]));
+          continue;
+        }
+        const size_t carrier = t.ColumnIndex(columns[c].weight_of).ValueOrDie();
+        Weight w = 7 * static_cast<Weight>(drawn[carrier]) + 3;
+        if (conflicts && rng.Below(80) == 0) ++w;
+        row.emplace_back(w);
+      }
+      EXPECT_TRUE(t.AddRow(std::move(row)).ok());
+    }
+    db.AddTable(std::move(t));
+  }
+  return db;
+}
+
+void ExpectSameInstance(const Result<RelationalInstance>& got,
+                        const Result<RelationalInstance>& want) {
+  ASSERT_EQ(got.ok(), want.ok()) << (got.ok() ? want.status() : got.status());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  const Structure& g = got.value().structure;
+  const Structure& w = want.value().structure;
+  ASSERT_EQ(g.universe_size(), w.universe_size());
+  for (ElemId e = 0; e < w.universe_size(); ++e) {
+    EXPECT_EQ(g.ElementName(e), w.ElementName(e));
+    EXPECT_EQ(g.FindElement(w.ElementName(e)).ValueOrDie(), e);
+  }
+  EXPECT_EQ(g.signature(), w.signature());
+  ASSERT_EQ(g.num_relations(), w.num_relations());
+  for (size_t r = 0; r < w.num_relations(); ++r) {
+    ASSERT_EQ(g.relation(r).size(), w.relation(r).size());
+    for (size_t i = 0; i < w.relation(r).size(); ++i) {
+      EXPECT_EQ(g.relation(r).tuple(i), w.relation(r).tuple(i));
+    }
+  }
+  EXPECT_EQ(got.value().has_weight, want.value().has_weight);
+  EXPECT_EQ(got.value().weights, want.value().weights);
+}
+
+TEST(RelationalLoadTest, MatchesOracle) {
+  Rng rng(14);
+  size_t errors = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    const Database db = RandomLoadDatabase(rng, trial % 3 == 0);
+    const Result<RelationalInstance> want = oracle::ToWeightedStructure(db);
+    ExpectSameInstance(ToWeightedStructure(db), want);
+    if (!want.ok()) ++errors;
+  }
+  EXPECT_GT(errors, 10u);  // the error path is exercised, not just the happy one
 }
 
 TEST(TravelTest, RandomDatabaseConverts) {

@@ -70,6 +70,79 @@ TEST(StructureTest, SetElementNameBumpsGeneration) {
   EXPECT_GT(s.generation(), before);
 }
 
+TEST(StructureTest, RenamedElementNotFoundByOldName) {
+  Structure s = TinyGraph();
+  s.SetElementName(2, "charlie");
+  s.SetElementName(2, "carol");
+  EXPECT_FALSE(s.FindElement("charlie").ok());
+  EXPECT_EQ(s.FindElement("carol").ValueOrDie(), 2u);
+  // The freed name is free for another element.
+  s.SetElementName(0, "charlie");
+  EXPECT_EQ(s.FindElement("charlie").ValueOrDie(), 0u);
+  EXPECT_EQ(s.FindElement("carol").ValueOrDie(), 2u);
+}
+
+TEST(StructureTest, DuplicateNameResolvesToLastWriter) {
+  Structure s = TinyGraph();
+  s.SetElementName(1, "dup");
+  s.SetElementName(3, "dup");
+  EXPECT_EQ(s.FindElement("dup").ValueOrDie(), 3u);
+  s.SetElementName(1, "dup");
+  EXPECT_EQ(s.FindElement("dup").ValueOrDie(), 1u);
+  // Bulk naming follows the same rule: the highest id wins.
+  Structure bulk = TinyGraph();
+  bulk.SetElementNames({"x", "y", "x", "z"});
+  EXPECT_EQ(bulk.FindElement("x").ValueOrDie(), 2u);
+  EXPECT_EQ(bulk.FindElement("y").ValueOrDie(), 1u);
+  EXPECT_EQ(bulk.ElementName(0), "x");
+}
+
+TEST(StructureTest, EmptyNameIsFoundOnlyWhenSet) {
+  Structure s = TinyGraph();
+  s.SetElementName(1, "bob");
+  EXPECT_FALSE(s.FindElement("").ok());  // unnamed elements are not indexed
+  s.SetElementName(3, "");
+  EXPECT_EQ(s.FindElement("").ValueOrDie(), 3u);
+}
+
+TEST(StructureTest, CopiedStructureResolvesNames) {
+  Structure s(GraphSignature(), 500);
+  std::vector<std::string> names;
+  for (ElemId e = 0; e < 500; ++e) names.push_back("n" + std::to_string(e));
+  s.SetElementNames(names);
+  const Structure copy = s;
+  s.SetElementName(7, "renamed");
+  for (ElemId e = 0; e < 500; ++e) {
+    EXPECT_EQ(copy.FindElement(names[e]).ValueOrDie(), e);
+  }
+  EXPECT_FALSE(copy.FindElement("renamed").ok());
+  EXPECT_FALSE(s.FindElement("n7").ok());
+  EXPECT_EQ(s.FindElement("renamed").ValueOrDie(), 7u);
+}
+
+TEST(StructureTest, ManyRenamesKeepEveryNameFindable) {
+  // Renames move entries around the probe chains; every current name must
+  // stay reachable and no old one may linger.
+  const size_t n = 300;
+  Structure s(GraphSignature(), n);
+  for (ElemId e = 0; e < n; ++e) s.SetElementName(e, "a" + std::to_string(e));
+  for (ElemId e = 0; e < n; e += 2) s.SetElementName(e, "b" + std::to_string(e));
+  for (ElemId e = 0; e < n; ++e) {
+    const std::string now = (e % 2 == 0 ? "b" : "a") + std::to_string(e);
+    EXPECT_EQ(s.FindElement(now).ValueOrDie(), e);
+    if (e % 2 == 0) {
+      EXPECT_FALSE(s.FindElement("a" + std::to_string(e)).ok());
+    }
+  }
+}
+
+TEST(StructureTest, SetElementNamesBumpsGeneration) {
+  Structure s = TinyGraph();
+  const uint64_t before = s.generation();
+  s.SetElementNames({"a", "b", "c", "d"});
+  EXPECT_GT(s.generation(), before);
+}
+
 TEST(IncidenceIndexTest, ListsTuplesPerElement) {
   Structure s = TinyGraph();
   IncidenceIndex idx(s);

@@ -454,11 +454,14 @@ Result<CsvSetup> SetupCsv(const Args& args, const std::string& csv_path) {
     const Table* t = setup.db.Find(setup.table_name).ValueOrDie();
     auto col = t->ColumnIndex(args.Get("param-column").ValueOrDie());
     if (!col.ok()) return col.status();
-    std::set<std::string> seen;
+    // First-appearance order of the column's values, deduplicated by id.
+    const Structure& g = setup.instance->structure;
+    std::vector<bool> seen(g.universe_size(), false);
     for (size_t r = 0; r < t->num_rows(); ++r) {
-      const std::string& value = t->KeyAt(r, col.value());
-      if (!seen.insert(value).second) continue;
-      domain.push_back(Tuple{setup.instance->structure.FindElement(value).ValueOrDie()});
+      const ElemId e = g.FindElement(t->KeyAt(r, col.value())).ValueOrDie();
+      if (seen[e]) continue;
+      seen[e] = true;
+      domain.push_back(Tuple{e});
     }
   } else {
     domain = AllParams(setup.instance->structure, setup.query->ParamArity());
