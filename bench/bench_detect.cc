@@ -1,22 +1,21 @@
-// bench_detect — the detection-side perf baseline: batched answer serving,
-// dense weight views, and the parallel multi-suspect fan-out.
+// bench_detect — the detection-side perf baseline: the witness-resolve
+// kernel against the per-read oracle, and the parallel multi-suspect fan-out.
 //
 // Detection is the serving hot path once a scheme is deployed: the detector
 // replans once, then reads pair weights through query answers for every
 // suspect copy (Remark 2's fingerprint tracing runs this against up to 2^l
-// marked copies). The pre-optimization path paid one Answer() round trip per
-// pair element — an AnswerSet allocation plus a linear scan — and a hash
-// lookup per weight read. The optimized path answers each distinct witness
-// parameter once per run (AnswerAll), indexes the rows, and snapshots both
-// the owner's and the server's weights into DenseWeightViews.
+// marked copies). The oracle (tests/detect_oracle.h) pays one Answer() round
+// trip per pair element — an AnswerSet allocation plus a linear scan. The
+// kernel (PairCarrier::Observe) answers each distinct witness parameter once
+// per run in one flat AnswerAllFlat batch and resolves rows through an
+// epoch-stamped table.
 //
 // Instance: bounded-degree graph with a DistanceQuery ball (answer sets of
 // a few dozen rows — the regime where re-answering per pair hurts most).
 //
-// Reported speedups are against the *pre-optimization detector* — serial,
-// unbatched, sparse weight lookups. Detection output (marks, margins,
-// erasure counts) is verified bit-identical across every ablation and
-// thread count; the run fails if it is not.
+// Reported speedups are against the oracle. Observations are verified
+// identical to the oracle's, and detections bit-identical across thread
+// counts; the run fails if they are not.
 //
 // --json[=PATH] writes/merges the "detect_scale" section of
 // BENCH_detect.json so future PRs have a trajectory to beat.
@@ -42,6 +41,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "detect_oracle.h"
 #include "qpwm/core/adversarial.h"
 #include "qpwm/core/answers.h"
 #include "qpwm/core/local_scheme.h"
@@ -76,9 +76,17 @@ bool SameDetection(const AdversarialDetection& a, const AdversarialDetection& b)
   return true;
 }
 
-struct AblationResult {
-  bool dense = false;
-  bool batch = false;
+bool SameObservations(const std::vector<PairObservation>& a,
+                      const std::vector<PairObservation>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].delta != b[i].delta || a[i].erased != b[i].erased) return false;
+  }
+  return true;
+}
+
+struct PathResult {
+  std::string path;
   double ms = 0;
   bool identical = true;
 };
@@ -161,7 +169,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "=== bench_detect: batched, dense, parallel detection (n=" << n
+  std::cout << "=== bench_detect: detection kernel vs oracle, parallel fan-out (n=" << n
             << ", k=" << k << ", query=dist<=" << qrho
             << ", suspects=" << num_suspects << ") ===\n";
 
@@ -184,9 +192,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Witness sharing decides the batching win: every detection run performs
+  // Witness sharing decides the kernel's win: every detection run performs
   // 2 * pairs element reads, each through the first parameter containing the
-  // element, and the batched path answers each distinct witness once.
+  // element, and the kernel answers each distinct witness once.
   size_t witness_reads = 0;
   std::unordered_set<uint32_t> distinct_witnesses;
   for (const WeightPair& p : scheme.marking().pairs()) {
@@ -209,111 +217,92 @@ int main(int argc, char** argv) {
             << "x)\n";
 
   // One marked copy per suspect, each carrying a distinct message — the
-  // fingerprinting scenario. Two servers per copy: the pre-optimization
-  // sparse one and the dense-view one.
+  // fingerprinting scenario.
   std::vector<BitVec> messages;
-  std::vector<std::unique_ptr<HonestServer>> sparse_servers;
-  std::vector<std::unique_ptr<HonestServer>> dense_servers;
+  std::vector<std::unique_ptr<HonestServer>> servers;
+  std::vector<const AnswerServer*> ptrs;
   for (size_t s = 0; s < num_suspects; ++s) {
     BitVec msg(adv.CapacityBits());
     Rng msg_rng(1000 + s);
     for (size_t i = 0; i < msg.size(); ++i) msg.Set(i, msg_rng.Coin());
-    WeightMap marked = adv.Embed(weights, msg);
-    sparse_servers.push_back(
-        std::make_unique<HonestServer>(index, marked, /*use_dense_view=*/false));
-    dense_servers.push_back(
-        std::make_unique<HonestServer>(index, std::move(marked)));
+    servers.push_back(std::make_unique<HonestServer>(index, adv.Embed(weights, msg)));
+    ptrs.push_back(servers.back().get());
     messages.push_back(std::move(msg));
   }
 
-  const DetectOptions kBaselineOpts{/*batch_answers=*/false, /*dense_views=*/false};
-
-  // --- Single-suspect ablations (1 thread) ---------------------------------
-  const AdversarialDetection reference =
-      adv.Detect(weights, *sparse_servers[0], kBaselineOpts).ValueOrDie();
-  for (size_t i = 0; i < reference.mark.size(); ++i) {
-    if (reference.mark.Get(i) != messages[0].Get(i)) {
-      std::cerr << "FAIL: clean detection recovered a wrong bit\n";
-      return 1;
-    }
+  // --- Single suspect (1 thread): oracle vs kernel ------------------------
+  const AdversarialDetection clean = adv.Detect(weights, *ptrs[0]).ValueOrDie();
+  if (clean.mark != messages[0]) {
+    std::cerr << "FAIL: clean detection recovered a wrong bit\n";
+    return 1;
   }
 
-  std::vector<AblationResult> ablations;
-  for (const auto& [dense, batch] :
-       std::vector<std::pair<bool, bool>>{{false, false}, {true, false},
-                                          {false, true}, {true, true}}) {
-    DetectOptions d;
-    d.batch_answers = batch;
-    d.dense_views = dense;
-    const AnswerServer& server =
-        dense ? *dense_servers[0] : *sparse_servers[0];
-    AblationResult r;
-    r.dense = dense;
-    r.batch = batch;
-    std::optional<AdversarialDetection> out;
+  const std::vector<PairObservation> reference =
+      oracle::ObservePairs(scheme, weights, *ptrs[0]);
+  std::vector<PathResult> paths;
+  for (const std::string path : {"oracle", "kernel"}) {
+    PathResult r;
+    r.path = path;
+    std::vector<PairObservation> out;
     for (int rep = 0; rep < reps; ++rep) {
-      const double ms =
-          TimeMs([&] { out = adv.Detect(weights, server, d).ValueOrDie(); });
+      const double ms = TimeMs([&] {
+        out = path == "oracle" ? oracle::ObservePairs(scheme, weights, *ptrs[0])
+                               : scheme.ObservePairs(weights, *ptrs[0]);
+      });
       r.ms = rep == 0 ? ms : std::min(r.ms, ms);
     }
-    r.identical = SameDetection(reference, *out);
-    ablations.push_back(r);
+    r.identical = SameObservations(reference, out);
+    paths.push_back(r);
   }
-  const double single_baseline_ms = ablations.front().ms;
-  const double dense_batch_speedup = single_baseline_ms / ablations.back().ms;
+  const double single_baseline_ms = paths.front().ms;
+  const double kernel_speedup = single_baseline_ms / paths.back().ms;
 
-  TextTable single(StrCat("Single-suspect detection, ", scheme.CapacityBits(),
+  TextTable single(StrCat("Single-suspect pair reads, ", scheme.CapacityBits(),
                           " pairs -> ", adv.CapacityBits(),
-                          " bits (baseline: unbatched sparse ",
+                          " bits (baseline: per-read oracle ",
                           FmtDouble(single_baseline_ms, 2), " ms)"));
-  single.SetHeader({"dense", "batch", "ms", "speedup", "identical"});
-  for (const AblationResult& r : ablations) {
-    single.AddRow({r.dense ? "on" : "off", r.batch ? "on" : "off",
-                   FmtDouble(r.ms, 2), FmtDouble(single_baseline_ms / r.ms, 2),
+  single.SetHeader({"path", "ms", "speedup", "identical"});
+  for (const PathResult& r : paths) {
+    single.AddRow({r.path, FmtDouble(r.ms, 2),
+                   FmtDouble(single_baseline_ms / r.ms, 2),
                    r.identical ? "yes" : "NO"});
   }
   single.Print(std::cout);
 
   // --- Multi-suspect fan-out ------------------------------------------------
-  // Baseline: the pre-optimization pipeline — a serial loop of unbatched,
-  // sparse detections, exactly what tracing a leak against `num_suspects`
-  // copies cost before this layer existed.
-  std::vector<const AnswerServer*> sparse_ptrs, dense_ptrs;
-  for (size_t s = 0; s < num_suspects; ++s) {
-    sparse_ptrs.push_back(sparse_servers[s].get());
-    dense_ptrs.push_back(dense_servers[s].get());
-  }
-  std::vector<AdversarialDetection> multi_reference;
+  // Baseline: a serial loop of oracle reads over every suspect, which is
+  // what tracing a leak against `num_suspects` copies costs one Answer()
+  // per pair element. Each suspect's kernel observations are checked
+  // against it.
+  std::vector<std::vector<PairObservation>> multi_reference;
   double multi_baseline_ms = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const double ms = TimeMs([&] {
       multi_reference.clear();
-      for (const AnswerServer* s : sparse_ptrs) {
-        multi_reference.push_back(
-            adv.Detect(weights, *s, kBaselineOpts).ValueOrDie());
+      for (const AnswerServer* s : ptrs) {
+        multi_reference.push_back(oracle::ObservePairs(scheme, weights, *s));
       }
     });
     multi_baseline_ms = rep == 0 ? ms : std::min(multi_baseline_ms, ms);
   }
+  bool kernel_identical = true;
+  for (size_t s = 0; s < ptrs.size(); ++s) {
+    kernel_identical &=
+        SameObservations(multi_reference[s], scheme.ObservePairs(weights, *ptrs[s]));
+  }
 
-  // The honest bar for the thread pool: a serial loop with every
-  // single-suspect fast path already on (batched answers, dense views — the
-  // default DetectOptions). DetectMany has to beat this, not just the
-  // unbatched pre-optimization loop.
+  // The honest bar for the thread pool: a serial loop of kernel detections.
+  // DetectMany has to beat this, not just the oracle loop.
   std::vector<AdversarialDetection> serial_optimized;
   double serial_optimized_ms = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const double ms = TimeMs([&] {
       serial_optimized.clear();
-      for (const AnswerServer* s : dense_ptrs) {
+      for (const AnswerServer* s : ptrs) {
         serial_optimized.push_back(adv.Detect(weights, *s).ValueOrDie());
       }
     });
     serial_optimized_ms = rep == 0 ? ms : std::min(serial_optimized_ms, ms);
-  }
-  bool serial_optimized_identical = serial_optimized.size() == multi_reference.size();
-  for (size_t s = 0; serial_optimized_identical && s < serial_optimized.size(); ++s) {
-    serial_optimized_identical = SameDetection(multi_reference[s], serial_optimized[s]);
   }
 
   std::vector<FanoutResult> fanout;
@@ -323,19 +312,19 @@ int main(int argc, char** argv) {
     r.threads = threads;
     std::vector<AdversarialDetection> out;
     for (int rep = 0; rep < reps; ++rep) {
-      const double ms = TimeMs([&] { out = adv.DetectMany(weights, dense_ptrs); });
+      const double ms = TimeMs([&] { out = adv.DetectMany(weights, ptrs); });
       r.ms = rep == 0 ? ms : std::min(r.ms, ms);
     }
-    r.identical = out.size() == multi_reference.size();
+    r.identical = kernel_identical && out.size() == serial_optimized.size();
     for (size_t s = 0; r.identical && s < out.size(); ++s) {
-      r.identical = SameDetection(multi_reference[s], out[s]);
+      r.identical = SameDetection(serial_optimized[s], out[s]);
     }
     fanout.push_back(r);
   }
   SetParallelThreads(0);  // restore the env/hardware default
 
   TextTable multi(StrCat("Multi-suspect tracing, ", num_suspects,
-                         " marked copies (baseline: serial unbatched sparse ",
+                         " marked copies (baseline: serial oracle reads ",
                          FmtDouble(multi_baseline_ms, 2), " ms)"));
   multi.SetHeader({"threads", "ms", "speedup", "suspects/s", "identical"});
   for (const FanoutResult& r : fanout) {
@@ -348,20 +337,20 @@ int main(int argc, char** argv) {
   const double fanout_8t_ms = fanout.back().ms;
   const bool parallel_faster_than_serial = fanout_8t_ms < serial_optimized_ms;
   std::cout << "hardware threads visible: " << std::thread::hardware_concurrency()
-            << "; speedups are vs the pre-optimization serial detector "
-               "(unbatched answers, sparse weight lookups).\n";
-  std::cout << "serial optimized loop (dense+batch, 1 thread): "
+            << "; speedups are vs the serial per-read oracle "
+               "(one Answer() per pair element).\n";
+  std::cout << "serial kernel loop (1 thread): "
             << FmtDouble(serial_optimized_ms, 2) << " ms; DetectMany@8T "
             << FmtDouble(fanout_8t_ms, 2) << " ms -> parallel faster: "
             << (parallel_faster_than_serial ? "yes" : "no")
             << " (expect no on a single hardware thread; the perf CI job "
                "checks this multicore).\n";
 
-  bool all_identical = serial_optimized_identical;
-  for (const AblationResult& r : ablations) all_identical &= r.identical;
+  bool all_identical = kernel_identical;
+  for (const PathResult& r : paths) all_identical &= r.identical;
   for (const FanoutResult& r : fanout) all_identical &= r.identical;
   if (!all_identical) {
-    std::cerr << "FAIL: detection output differs across ablations/threads\n";
+    std::cerr << "FAIL: kernel differs from the oracle or across threads\n";
     return 1;
   }
 
@@ -369,7 +358,7 @@ int main(int argc, char** argv) {
   // Fan-out tracing at large n. Distance-2 balls keep the answer index a
   // small constant per parameter so the instance — not the index — dominates
   // memory; at most 8 suspects keep the marked-copy weight maps bounded.
-  // Each point runs once (no reps): plan, embed, then the serial optimized
+  // Each point runs once (no reps): plan, embed, then the serial kernel
   // loop vs DetectMany at 1 and 8 threads, outputs compared exactly.
   const uint32_t kSweepQrho = 2;
   std::vector<DetectSweepPoint> sweep;
@@ -393,26 +382,26 @@ int main(int argc, char** argv) {
     LocalScheme sscheme = LocalScheme::Plan(sindex, sopts).ValueOrDie();
     AdversarialScheme sadv(sscheme, redundancy);
     pt.pairs = sscheme.CapacityBits();
-    std::vector<std::unique_ptr<HonestServer>> servers;
-    std::vector<const AnswerServer*> ptrs;
+    std::vector<std::unique_ptr<HonestServer>> sweep_servers;
+    std::vector<const AnswerServer*> sweep_ptrs;
     for (size_t s = 0; s < pt.suspects; ++s) {
       BitVec msg(sadv.CapacityBits());
       Rng msg_rng(1000 + s);
       for (size_t i = 0; i < msg.size(); ++i) msg.Set(i, msg_rng.Coin());
-      servers.push_back(
+      sweep_servers.push_back(
           std::make_unique<HonestServer>(sindex, sadv.Embed(sweights, msg)));
-      ptrs.push_back(servers.back().get());
+      sweep_ptrs.push_back(sweep_servers.back().get());
     }
     std::vector<AdversarialDetection> ref;
     pt.serial_optimized_ms = TimeMs([&] {
-      for (const AnswerServer* s : ptrs) {
+      for (const AnswerServer* s : sweep_ptrs) {
         ref.push_back(sadv.Detect(sweights, *s).ValueOrDie());
       }
     });
     for (size_t threads : {size_t{1}, size_t{8}}) {
       SetParallelThreads(threads);
       std::vector<AdversarialDetection> out;
-      const double ms = TimeMs([&] { out = sadv.DetectMany(sweights, ptrs); });
+      const double ms = TimeMs([&] { out = sadv.DetectMany(sweights, sweep_ptrs); });
       (threads == 1 ? pt.fanout_1t_ms : pt.fanout_8t_ms) = ms;
       pt.identical &= out.size() == ref.size();
       for (size_t s = 0; pt.identical && s < out.size(); ++s) {
@@ -425,7 +414,7 @@ int main(int argc, char** argv) {
   }
   if (!sweep.empty()) {
     TextTable st(StrCat("DetectMany scaling sweep (qrho=", kSweepQrho,
-                        "; serial bar = loop of optimized single-suspect "
+                        "; serial bar = loop of single-suspect kernel "
                         "detections)"));
     st.SetHeader({"n", "tuples", "pairs", "suspects", "serial ms", "1T ms",
                   "8T ms", "8T vs serial", "B/tuple", "peak RSS MB", "identical"});
@@ -466,24 +455,23 @@ int main(int argc, char** argv) {
     w.Key("reps").Int(reps);
     w.Key("single_suspect").BeginObject();
     w.Key("baseline_description")
-        .String("serial detection, unbatched answers, sparse weight lookups");
+        .String("per-read oracle: one Answer() round trip per pair element");
     w.Key("baseline_ms").Double(single_baseline_ms);
-    w.Key("ablations").BeginArray();
-    for (const AblationResult& r : ablations) {
+    w.Key("paths").BeginArray();
+    for (const PathResult& r : paths) {
       w.BeginObject();
-      w.Key("dense_views").Bool(r.dense);
-      w.Key("batch_answers").Bool(r.batch);
+      w.Key("path").String(r.path);
       w.Key("ms").Double(r.ms);
       w.Key("speedup").Double(single_baseline_ms / r.ms);
       w.Key("identical_to_baseline").Bool(r.identical);
       w.EndObject();
     }
     w.EndArray();
-    w.Key("dense_batch_speedup").Double(dense_batch_speedup);
+    w.Key("kernel_speedup").Double(kernel_speedup);
     w.EndObject();
     w.Key("multi_suspect").BeginObject();
     w.Key("baseline_description")
-        .String("serial loop of pre-optimization detections over all suspects");
+        .String("serial loop of oracle reads over all suspects");
     w.Key("baseline_ms").Double(multi_baseline_ms);
     w.Key("serial_optimized_ms").Double(serial_optimized_ms);
     w.Key("parallel_faster_than_serial").Bool(parallel_faster_than_serial);

@@ -6,78 +6,12 @@
 #include "qpwm/util/parallel.h"
 
 namespace qpwm {
-namespace {
 
-class LocalCarrier : public PairCarrier {
- public:
-  explicit LocalCarrier(const LocalScheme& base) : base_(&base) {}
-  size_t NumPairs() const override { return base_->CapacityBits(); }
-  void Apply(const BitVec& expanded_mark, WeightMap& weights,
-             PairEncoding encoding) const override {
-    base_->marking().Apply(expanded_mark, weights, encoding);
-  }
-  std::unique_ptr<DetectRunContext> MakeRunContext(
-      const WeightMap& original, const DetectOptions& options) const override {
-    auto ctx = std::make_unique<Ctx>();
-    ctx->inner = base_->MakeDetectContext(original, options);
-    return ctx;
-  }
-  const std::vector<PairObservation>& Observe(
-      const DetectRunContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const override {
-    return base_->ObservePairsInto(static_cast<const Ctx&>(ctx).inner, suspect,
-                                   scratch);
-  }
-
- private:
-  struct Ctx : DetectRunContext {
-    LocalScheme::DetectContext inner;
-  };
-  const LocalScheme* base_;
-};
-
-class TreeCarrier : public PairCarrier {
- public:
-  explicit TreeCarrier(const TreeScheme& base) : base_(&base) {}
-  size_t NumPairs() const override { return base_->CapacityBits(); }
-  void Apply(const BitVec& expanded_mark, WeightMap& weights,
-             PairEncoding encoding) const override {
-    base_->ApplyMark(expanded_mark, weights, encoding);
-  }
-  std::unique_ptr<DetectRunContext> MakeRunContext(
-      const WeightMap& original, const DetectOptions& options) const override {
-    auto ctx = std::make_unique<Ctx>();
-    ctx->inner = base_->MakeDetectContext(original, options);
-    return ctx;
-  }
-  const std::vector<PairObservation>& Observe(
-      const DetectRunContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const override {
-    return base_->ObservePairsInto(static_cast<const Ctx&>(ctx).inner, suspect,
-                                   scratch);
-  }
-
- private:
-  struct Ctx : DetectRunContext {
-    TreeScheme::DetectContext inner;
-  };
-  const TreeScheme* base_;
-};
-
-}  // namespace
-
-AdversarialScheme::AdversarialScheme(std::unique_ptr<PairCarrier> carrier,
-                                     size_t redundancy)
-    : carrier_(std::move(carrier)), redundancy_(redundancy) {
+AdversarialScheme::AdversarialScheme(const PairCarrier& base, size_t redundancy)
+    : carrier_(&base), redundancy_(redundancy) {
   QPWM_CHECK_GE(redundancy, 1u);
   capacity_ = carrier_->NumPairs() / redundancy_;
 }
-
-AdversarialScheme::AdversarialScheme(const LocalScheme& base, size_t redundancy)
-    : AdversarialScheme(std::make_unique<LocalCarrier>(base), redundancy) {}
-
-AdversarialScheme::AdversarialScheme(const TreeScheme& base, size_t redundancy)
-    : AdversarialScheme(std::make_unique<TreeCarrier>(base), redundancy) {}
 
 WeightMap AdversarialScheme::Embed(const WeightMap& original,
                                    const BitVec& message) const {
@@ -96,12 +30,10 @@ WeightMap AdversarialScheme::Embed(const WeightMap& original,
 }
 
 Result<AdversarialDetection> AdversarialScheme::Detect(
-    const WeightMap& original, const AnswerServer& suspect,
-    const DetectOptions& options) const {
-  const std::unique_ptr<DetectRunContext> ctx =
-      carrier_->MakeRunContext(original, options);
+    const WeightMap& original, const AnswerServer& suspect) const {
   DetectScratch scratch;
-  return DecodeVotes(carrier_->Observe(*ctx, suspect, scratch));
+  return DecodeVotes(
+      carrier_->Observe(carrier_->SlotOriginals(original), suspect, scratch));
 }
 
 AdversarialDetection AdversarialScheme::DecodeVotes(
@@ -156,24 +88,22 @@ AdversarialDetection AdversarialScheme::DecodeVotes(
 }
 
 std::vector<AdversarialDetection> AdversarialScheme::DetectMany(
-    const WeightMap& original, const std::vector<const AnswerServer*>& suspects,
-    const DetectOptions& options) const {
+    const WeightMap& original,
+    const std::vector<const AnswerServer*>& suspects) const {
   for (const AnswerServer* s : suspects) QPWM_CHECK(s != nullptr);
   // Each suspect's detection is independent; per-suspect results land in
   // per-index slots, so the fan-out is bit-identical to the serial loop for
-  // any thread count. The run context (the original weights' dense view) is
-  // built once and shared read-only; the per-suspect working memory — answer
-  // batches, stamp tables, observation lists — comes from a scratch pool, so
-  // blocks reuse warm buffers instead of reallocating per suspect (the
-  // allocation churn that kept the old per-suspect fan-out from scaling).
-  const std::unique_ptr<DetectRunContext> ctx =
-      carrier_->MakeRunContext(original, options);
+  // any thread count. The owner's slot weights are read once and shared
+  // read-only; the per-suspect working memory — answer batches, stamp
+  // tables, observation lists — comes from a scratch pool, so blocks reuse
+  // warm buffers instead of reallocating per suspect.
+  const std::vector<Weight> originals = carrier_->SlotOriginals(original);
   ScratchPool<DetectScratch> pool;
   std::vector<AdversarialDetection> out(suspects.size());
   ParallelBlocks<int>(suspects.size(), [&](size_t begin, size_t end) {
     std::unique_ptr<DetectScratch> scratch = pool.Acquire();
     for (size_t i = begin; i < end; ++i) {
-      out[i] = DecodeVotes(carrier_->Observe(*ctx, *suspects[i], *scratch));
+      out[i] = DecodeVotes(carrier_->Observe(originals, *suspects[i], *scratch));
     }
     pool.Release(std::move(scratch));
     return 0;

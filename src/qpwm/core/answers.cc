@@ -111,12 +111,6 @@ AnswerSet QueryIndex::AnswersFor(size_t param_idx, const WeightMap& weights) con
   return out;
 }
 
-Weight QueryIndex::SumWeights(size_t param_idx, const DenseWeightView& view) const {
-  Weight sum = 0;
-  for (uint32_t w : results_[param_idx]) sum += view.at(w);
-  return sum;
-}
-
 AnswerSet QueryIndex::AnswersFor(size_t param_idx, const DenseWeightView& view) const {
   AnswerSet out;
   out.reserve(results_[param_idx].size());
@@ -126,15 +120,8 @@ AnswerSet QueryIndex::AnswersFor(size_t param_idx, const DenseWeightView& view) 
   return out;
 }
 
-void QueryIndex::AppendAnswersFlat(size_t param_idx, const WeightMap& weights,
-                                   FlatAnswerBatch& out) const {
-  for (uint32_t w : results_[param_idx]) {
-    out.AppendRow(active_[w], weights.Get(active_[w]));
-  }
-}
-
 void QueryIndex::AppendAnswersFlat(size_t param_idx, const DenseWeightView& view,
-                                   FlatAnswerBatch& out) const {
+                                   FlatAnswers& out) const {
   for (uint32_t w : results_[param_idx]) {
     out.AppendRow(active_[w], view.at(w));
   }
@@ -147,74 +134,11 @@ DenseWeightView::DenseWeightView(const QueryIndex& index, const WeightMap& weigh
   }
 }
 
-std::vector<AnswerSet> BatchAnswerServer::AnswerBatch(
-    const std::vector<Tuple>& params) const {
-  std::vector<AnswerSet> out;
-  out.reserve(params.size());
-  for (const Tuple& p : params) out.push_back(Answer(p));
-  return out;
-}
-
-void BatchAnswerServer::AnswerAllFlat(const std::vector<Tuple>& params,
-                                      FlatAnswerBatch& out) const {
-  out.Clear();
-  for (const AnswerSet& answers : AnswerBatch(params)) {
-    for (const AnswerRow& row : answers) out.AppendRow(row.element, row.weight);
-    out.FinishParam();
-  }
-}
-
-std::vector<AnswerSet> AnswerAll(const AnswerServer& server,
-                                 const std::vector<Tuple>& params) {
-  if (const auto* batch = dynamic_cast<const BatchAnswerServer*>(&server)) {
-    return batch->AnswerBatch(params);
-  }
-  std::vector<AnswerSet> out;
-  out.reserve(params.size());
-  for (const Tuple& p : params) out.push_back(server.Answer(p));
-  return out;
-}
-
-void AnswerAllFlat(const AnswerServer& server, const std::vector<Tuple>& params,
-                   FlatAnswerBatch& out) {
-  if (const auto* batch = dynamic_cast<const BatchAnswerServer*>(&server)) {
-    batch->AnswerAllFlat(params, out);
-    return;
-  }
+void AnswerServer::AnswerAllFlat(const std::vector<Tuple>& params,
+                                 FlatAnswers& out) const {
   out.Clear();
   for (const Tuple& p : params) {
-    for (const AnswerRow& row : server.Answer(p)) {
-      out.AppendRow(row.element, row.weight);
-    }
-    out.FinishParam();
-  }
-}
-
-AnswerSet ServingSnapshot::Answer(const Tuple& params) const {
-  // Same serving contract as HonestServer, but against the frozen copy: the
-  // dense view for in-domain parameters, direct evaluation for the rest.
-  auto idx = index_->FindParam(params);
-  if (idx.ok()) return index_->AnswersFor(idx.value(), view_);
-  AnswerSet out;
-  for (Tuple& t : index_->query().Evaluate(index_->structure(), params)) {
-    Weight w = weights_.Get(t);
-    out.push_back({std::move(t), w});
-  }
-  return out;
-}
-
-void ServingSnapshot::AnswerAllFlat(const std::vector<Tuple>& params,
-                                    FlatAnswerBatch& out) const {
-  out.Clear();
-  for (const Tuple& p : params) {
-    auto idx = index_->FindParam(p);
-    if (idx.ok()) {
-      index_->AppendAnswersFlat(idx.value(), view_, out);
-    } else {
-      for (const Tuple& t : index_->query().Evaluate(index_->structure(), p)) {
-        out.AppendRow(t, weights_.Get(t));
-      }
-    }
+    for (const AnswerRow& row : Answer(p)) out.AppendRow(row.element, row.weight);
     out.FinishParam();
   }
 }
@@ -223,12 +147,9 @@ AnswerSet HonestServer::Answer(const Tuple& params) const {
   // A real server would evaluate the query; ours serves from the shared
   // index, which is observationally identical and keeps benches fast.
   auto idx = index_->FindParam(params);
-  if (idx.ok()) {
-    return view_.has_value() ? index_->AnswersFor(idx.value(), *view_)
-                             : index_->AnswersFor(idx.value(), weights_);
-  }
-  // Parameter outside the registered domain: evaluate directly (the sparse
-  // path — the dense view only covers the index's active elements).
+  if (idx.ok()) return index_->AnswersFor(idx.value(), view_);
+  // Parameter outside the registered domain: evaluate directly (the dense
+  // view only covers the index's active elements).
   AnswerSet out;
   for (Tuple& t : index_->query().Evaluate(index_->structure(), params)) {
     Weight w = weights_.Get(t);
@@ -238,16 +159,12 @@ AnswerSet HonestServer::Answer(const Tuple& params) const {
 }
 
 void HonestServer::AnswerAllFlat(const std::vector<Tuple>& params,
-                                 FlatAnswerBatch& out) const {
+                                 FlatAnswers& out) const {
   out.Clear();
   for (const Tuple& p : params) {
     auto idx = index_->FindParam(p);
     if (idx.ok()) {
-      if (view_.has_value()) {
-        index_->AppendAnswersFlat(idx.value(), *view_, out);
-      } else {
-        index_->AppendAnswersFlat(idx.value(), weights_, out);
-      }
+      index_->AppendAnswersFlat(idx.value(), view_, out);
     } else {
       for (const Tuple& t : index_->query().Evaluate(index_->structure(), p)) {
         out.AppendRow(t, weights_.Get(t));

@@ -8,8 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -37,7 +35,7 @@ using AnswerSet = std::vector<AnswerRow>;
 /// zero steady-state allocation. Row r of parameter p spans
 /// elems[elem_offsets[r], elem_offsets[r+1]) for r in
 /// [param_offsets[p], param_offsets[p+1]).
-struct FlatAnswerBatch {
+struct FlatAnswers {
   std::vector<ElemId> elems;
   std::vector<uint32_t> elem_offsets{0};
   std::vector<Weight> weights;
@@ -52,30 +50,18 @@ struct FlatAnswerBatch {
     weights.clear();
     param_offsets.assign(1, 0);
   }
-  void AppendRow(const Tuple& element, Weight w) {
-    elems.insert(elems.end(), element.begin(), element.end());
+  void AppendRow(const ElemId* first, const ElemId* last, Weight w) {
+    elems.insert(elems.end(), first, last);
     elem_offsets.push_back(static_cast<uint32_t>(elems.size()));
     weights.push_back(w);
+  }
+  void AppendRow(const Tuple& element, Weight w) {
+    AppendRow(element.data(), element.data() + element.size(), w);
   }
   /// Closes the current parameter's row range.
   void FinishParam() {
     param_offsets.push_back(static_cast<uint32_t>(num_rows()));
   }
-};
-
-/// Detection fast-path knobs. Both default on; detection output (marks,
-/// margins, erasure counts) is bit-identical for every combination — the
-/// switches exist as measured ablations (bench_detect) and to reproduce the
-/// pre-optimization serving path as a baseline.
-struct DetectOptions {
-  /// Answer each distinct witness parameter once per detection run and share
-  /// the answer across every pair that reads through it (one AnswerAll
-  /// round-trip instead of two Answer() calls per pair).
-  bool batch_answers = true;
-  /// Snapshot the owner's weights into a DenseWeightView aligned with the
-  /// QueryIndex active ids (O(1) indexed reads instead of per-tuple
-  /// WeightMap lookups).
-  bool dense_views = true;
 };
 
 /// Precomputed query results over a parameter domain.
@@ -136,17 +122,14 @@ class QueryIndex {
   /// A_a under `weights`.
   AnswerSet AnswersFor(size_t param_idx, const WeightMap& weights) const;
 
-  /// Dense-view fast paths: identical results, O(1) weight reads.
-  Weight SumWeights(size_t param_idx, const class DenseWeightView& view) const;
+  /// Dense-view fast path: identical rows, O(1) weight reads.
   AnswerSet AnswersFor(size_t param_idx, const class DenseWeightView& view) const;
 
   /// Appends A_a rows for one parameter into a flat batch — same rows in the
   /// same order as AnswersFor, no per-row allocation. The caller closes the
   /// parameter with out.FinishParam().
-  void AppendAnswersFlat(size_t param_idx, const WeightMap& weights,
-                         FlatAnswerBatch& out) const;
   void AppendAnswersFlat(size_t param_idx, const class DenseWeightView& view,
-                         FlatAnswerBatch& out) const;
+                         FlatAnswers& out) const;
 
  private:
   const Structure* g_;
@@ -187,122 +170,61 @@ class AnswerServer {
   virtual ~AnswerServer() = default;
   /// Returns A_a for parameter tuple `params`.
   virtual AnswerSet Answer(const Tuple& params) const = 0;
-};
 
-/// A server that can answer many parameters in one round trip. Detection
-/// batches all distinct witness parameters of a run into a single call, so
-/// servers that can amortize work across parameters (or a remote server that
-/// would otherwise pay one network round trip per Answer) get to.
-class BatchAnswerServer : public AnswerServer {
- public:
-  /// Returns {Answer(params[0]), ..., Answer(params[n-1])}. The default
-  /// loops over Answer(); overrides must return the exact same answers.
-  virtual std::vector<AnswerSet> AnswerBatch(const std::vector<Tuple>& params) const;
-
-  /// Columnar AnswerBatch: same rows in the same order, written into a
-  /// caller-owned (reusable) batch. The default converts AnswerBatch();
-  /// servers with flat internals (HonestServer, ServingSnapshot) override to
-  /// skip the per-row AnswerSet materialization entirely.
+  /// Answers every parameter in one round trip, written into a caller-owned
+  /// (reusable) columnar batch: parameter i holds the rows of
+  /// Answer(params[i]), in the same order. Detection asks for all distinct
+  /// witness parameters of a run through this one call. The default loops
+  /// over Answer(); servers with flat internals override it to skip the
+  /// per-row AnswerSet materialization, and must serve the same rows.
   virtual void AnswerAllFlat(const std::vector<Tuple>& params,
-                             FlatAnswerBatch& out) const;
+                             FlatAnswers& out) const;
 };
 
-/// Answers every parameter through the batch interface when the server
-/// implements it, else one Answer() call per parameter. Result order matches
-/// `params` either way.
-std::vector<AnswerSet> AnswerAll(const AnswerServer& server,
-                                 const std::vector<Tuple>& params);
+/// A server honestly serving a (possibly watermarked / attacked) weight map
+/// over the owner's structure. Immutable: the weights are snapshotted once
+/// into a DenseWeightView so in-domain answers are O(1) weight reads;
+/// parameters outside the index's domain are evaluated directly.
+class HonestServer : public AnswerServer {
+ public:
+  HonestServer(const QueryIndex& index, WeightMap weights)
+      : index_(&index), weights_(std::move(weights)), view_(index, weights_) {}
 
-/// Columnar AnswerAll: fills `out` with the exact rows AnswerAll would
-/// return, through the server's flat override when it has one.
-void AnswerAllFlat(const AnswerServer& server, const std::vector<Tuple>& params,
-                   FlatAnswerBatch& out);
+  AnswerSet Answer(const Tuple& params) const override;
+  void AnswerAllFlat(const std::vector<Tuple>& params,
+                     FlatAnswers& out) const override;
 
-/// An epoch-stamped immutable serving snapshot: owns a copy of the weights
-/// plus a dense view over them, so a detect pass reads a consistent state no
-/// matter how the live server mutates underneath. Snapshots are shared
+  const QueryIndex& index() const { return *index_; }
+  const WeightMap& weights() const { return weights_; }
+
+ private:
+  const QueryIndex* index_;
+  WeightMap weights_;
+  DenseWeightView view_ QPWM_VIEW_OF(weights_);
+};
+
+/// An epoch-stamped honest server: a detect pass reads a consistent frozen
+/// state no matter how the live weights move on. Snapshots are shared
 /// (shared_ptr) between the writer and any in-flight detect passes; when the
 /// writer publishes a newer epoch it calls Retire() on the old one, which
 /// flips a flag readers poll to notice they lost their epoch. Retiring never
 /// invalidates the data — a reader holding the shared_ptr may finish its
 /// pass against retired weights if it chooses to.
-class ServingSnapshot : public BatchAnswerServer {
+class ServingSnapshot : public HonestServer {
  public:
-  ServingSnapshot(const QueryIndex& index, const WeightMap& weights,
-                  uint64_t epoch)
-      : index_(&index), weights_(weights), view_(index, weights_),
-        epoch_(epoch) {}
+  ServingSnapshot(const QueryIndex& index, WeightMap weights, uint64_t epoch)
+      : HonestServer(index, std::move(weights)), epoch_(epoch) {}
 
-  AnswerSet Answer(const Tuple& params) const override;
-  void AnswerAllFlat(const std::vector<Tuple>& params,
-                     FlatAnswerBatch& out) const override;
-
-  /// The server version this snapshot was taken at.
+  /// The epoch this snapshot was published at.
   uint64_t epoch() const { return epoch_; }
   /// Marks the snapshot superseded. Const and thread-safe: the writer
   /// retires through the same shared_ptr<const ServingSnapshot> readers hold.
   void Retire() const { retired_.store(true, std::memory_order_release); }
   bool retired() const { return retired_.load(std::memory_order_acquire); }
 
-  const QueryIndex& index() const { return *index_; }
-  const WeightMap& weights() const { return weights_; }
-  const DenseWeightView& view() const { return view_; }
-
  private:
-  const QueryIndex* index_;
-  WeightMap weights_;
-  DenseWeightView view_ QPWM_VIEW_OF(weights_);
   uint64_t epoch_;
   mutable std::atomic<bool> retired_{false};
-};
-
-/// A server honestly serving a (possibly watermarked / attacked) weight map
-/// over the owner's structure.
-class HonestServer : public BatchAnswerServer {
- public:
-  /// `use_dense_view` snapshots the weights into a DenseWeightView so
-  /// in-domain answers are served with O(1) weight reads; pass false to get
-  /// the pre-optimization sparse serving path (the bench ablation).
-  HonestServer(const QueryIndex& index, WeightMap weights,
-               bool use_dense_view = true)
-      : index_(&index), weights_(std::move(weights)) {
-    if (use_dense_view) view_.emplace(index, weights_);
-  }
-
-  AnswerSet Answer(const Tuple& params) const override;
-  void AnswerAllFlat(const std::vector<Tuple>& params,
-                     FlatAnswerBatch& out) const override;
-
-  const WeightMap& weights() const { return weights_; }
-  /// Mutable access invalidates the dense view (the snapshot would go stale)
-  /// and bumps the version: any epoch snapshot taken earlier is now behind
-  /// the live state. Call RefreshView() after mutating to restore the fast
-  /// path.
-  WeightMap& mutable_weights() {
-    view_.reset();
-    ++version_;
-    return weights_;
-  }
-  /// Rebuilds the dense snapshot from the current weights.
-  void RefreshView() { view_.emplace(*index_, weights_); }
-  bool has_dense_view() const { return view_.has_value(); }
-
-  /// Monotone mutation counter; starts at 0 and bumps on every
-  /// mutable_weights() call.
-  uint64_t version() const { return version_; }
-
-  /// Freezes the current weights into an epoch snapshot stamped with the
-  /// current version. The caller owns the lifetime; the server keeps no
-  /// reference, so later mutations never race the snapshot.
-  std::shared_ptr<const ServingSnapshot> MakeSnapshot() const {
-    return std::make_shared<const ServingSnapshot>(*index_, weights_, version_);
-  }
-
- private:
-  const QueryIndex* index_;
-  WeightMap weights_;
-  std::optional<DenseWeightView> view_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace qpwm

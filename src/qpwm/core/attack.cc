@@ -216,11 +216,38 @@ AnswerSet TamperedAnswerServer::Answer(const Tuple& params) const {
   return out;
 }
 
-std::vector<AnswerSet> TamperedAnswerServer::AnswerBatch(
-    const std::vector<Tuple>& params) const {
-  std::vector<AnswerSet> out = AnswerAll(*base_, params);
-  for (size_t i = 0; i < params.size(); ++i) Tamper(params[i], out[i]);
-  return out;
+void TamperedAnswerServer::AppendInserted(const Tuple& params,
+                                          FlatAnswers& out) const {
+  auto it = inserted_at_.find(params);
+  if (it != inserted_at_.end()) {
+    for (const AnswerRow& row : it->second) out.AppendRow(row.element, row.weight);
+  }
+  for (const AnswerRow& row : inserted_everywhere_) {
+    out.AppendRow(row.element, row.weight);
+  }
+}
+
+void TamperedAnswerServer::AnswerAllFlat(const std::vector<Tuple>& params,
+                                         FlatAnswers& out) const {
+  // Same rows as Tamper() over each Answer(), without materializing a
+  // Tuple per row: erased rows are filtered through one reused key buffer.
+  FlatAnswers base;
+  base_->AnswerAllFlat(params, base);
+  out.Clear();
+  Tuple key;
+  for (size_t p = 0; p < params.size(); ++p) {
+    for (uint32_t r = base.param_offsets[p]; r < base.param_offsets[p + 1]; ++r) {
+      const ElemId* first = base.elems.data() + base.elem_offsets[r];
+      const ElemId* last = base.elems.data() + base.elem_offsets[r + 1];
+      if (!erased_.empty()) {
+        key.assign(first, last);
+        if (erased_.count(key) != 0) continue;
+      }
+      out.AppendRow(first, last, base.weights[r]);
+    }
+    AppendInserted(params[p], out);
+    out.FinishParam();
+  }
 }
 
 std::vector<Tuple> SampleSubset(const std::vector<Tuple>& elements, double frac,

@@ -167,10 +167,10 @@ const std::vector<std::string>& KnownCollusionSpecs();
 /// elements vanish from every answer, inserted rows are appended to the
 /// answers the attacker planted them in. The paper's indirect-access threat
 /// model is preserved — detection still only sees answers. The base server
-/// must outlive the wrapper. Batch requests are forwarded to the base as a
-/// batch (AnswerAll) and tampered per answer, so a batching base keeps its
-/// amortization under attack.
-class TamperedAnswerServer : public BatchAnswerServer {
+/// must outlive the wrapper. Flat requests are forwarded to the base as one
+/// AnswerAllFlat round trip and tampered row by row, so a flat base keeps
+/// its amortization under attack.
+class TamperedAnswerServer : public AnswerServer {
  public:
   explicit TamperedAnswerServer(const AnswerServer& base) : base_(&base) {}
 
@@ -190,11 +190,15 @@ class TamperedAnswerServer : public BatchAnswerServer {
   size_t num_erased() const { return erased_.size(); }
 
   AnswerSet Answer(const Tuple& params) const override;
-  std::vector<AnswerSet> AnswerBatch(const std::vector<Tuple>& params) const override;
+  void AnswerAllFlat(const std::vector<Tuple>& params,
+                     FlatAnswers& out) const override;
 
  private:
   /// Applies erasures and insertions for `params` to base rows, in place.
   void Tamper(const Tuple& params, AnswerSet& rows) const;
+  /// Appends the rows planted for `params`: InsertAt rows, then
+  /// InsertEverywhere rows.
+  void AppendInserted(const Tuple& params, FlatAnswers& out) const;
 
   const AnswerServer* base_;
   std::unordered_set<Tuple, TupleHash> erased_;

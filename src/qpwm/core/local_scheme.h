@@ -64,7 +64,7 @@ struct LocalSchemeOptions {
 };
 
 /// Planned marker/detector pair for one (structure, query, domain) instance.
-class LocalScheme {
+class LocalScheme : public PairCarrier {
  public:
   /// Runs the planning pipeline. The returned scheme may have capacity 0 if
   /// no non-empty epsilon-good subset was found within the retry budget.
@@ -101,59 +101,26 @@ class LocalScheme {
 
   /// Detector D, non-adversarial: recovers the mark from suspect answers.
   /// Needs the original weights (the owner has them) and indirect access to
-  /// the suspect server.
+  /// the suspect server. Any erased pair fails with kDetectionFailed (see
+  /// DecodeStrict).
   [[nodiscard]] Result<BitVec> Detect(const WeightMap& original, const AnswerServer& suspect) const;
 
-  /// Raw per-pair deltas ((w*+ - w+) - (w*- - w-)). Strict: a pair element
-  /// missing from the suspect's answers fails the whole read with
-  /// kDetectionFailed (the pre-structural-attack contract).
-  [[nodiscard]] Result<std::vector<Weight>> PairDeltas(const WeightMap& original,
-                                         const AnswerServer& suspect) const;
-
-  /// Erasure-aware per-pair reading: a pair whose element is missing from the
-  /// suspect's answers comes back flagged `erased` instead of failing the
-  /// read. The adversarial wrapper feeds these into majority decoding so
-  /// detection degrades gracefully under deletion/subset attacks.
-  ///
-  /// With `options.batch_answers` every distinct witness parameter is
-  /// answered once (one AnswerAll round trip) and shared across all pairs
-  /// that read through it; with `options.dense_views` the original weights
-  /// are snapshot into a DenseWeightView. Observations are bit-identical for
-  /// every setting.
-  std::vector<PairObservation> ObservePairs(const WeightMap& original,
-                                            const AnswerServer& suspect,
-                                            const DetectOptions& options = {}) const;
-
-  /// Per-run read state shared across every suspect of a detection run: the
-  /// owner's weights (and their dense snapshot, hoisted so a multi-suspect
-  /// fan-out builds it once instead of once per suspect).
-  struct DetectContext {
-    const WeightMap* original = nullptr;
-    std::optional<DenseWeightView> original_view;
-    DetectOptions options;
-  };
-  DetectContext MakeDetectContext(const WeightMap& original,
-                                  const DetectOptions& options) const;
-
-  /// ObservePairs against reusable buffers: fills and returns
-  /// scratch.observations (valid until the next call on that scratch).
-  /// Allocation-free once the scratch is warm; observations are bit-identical
-  /// to ObservePairs for every options combination.
-  const std::vector<PairObservation>& ObservePairsInto(
-      const DetectContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const;
+  // PairCarrier: keys are QueryIndex active ids; each pair element is read
+  // through the first parameter whose result contains it.
+  size_t NumPairs() const override { return marking_->size(); }
+  void Apply(const BitVec& mark, WeightMap& weights,
+             PairEncoding encoding) const override {
+    marking_->Apply(mark, weights, encoding);
+  }
+  const WitnessPlan& witness_plan() const override { return witness_plan_; }
+  size_t NumKeys() const override { return index().num_active(); }
+  void RowKeys(const FlatAnswers& answers, std::vector<int64_t>& keys,
+               Tuple& scratch) const override;
+  Weight KeyWeight(const WeightMap& weights, uint32_t key) const override {
+    return weights.Get(index().active_element(key));
+  }
 
  private:
-  /// Witness reads precomputed at plan time (they depend only on the pairs
-  /// and the index, never on the suspect): the distinct witness parameters in
-  /// first-use order, and per witness the (read slot, active id) resolutions,
-  /// flattened CSR-style. Slot 2i reads pair i's plus element, 2i+1 its minus.
-  struct WitnessPlan {
-    // qpwm-lint: allow(legacy-tuple-vector) — witness params interned once at Plan time
-    std::vector<Tuple> params;
-    std::vector<uint32_t> read_offsets;  // per witness: begin index in reads
-    std::vector<std::pair<uint32_t, uint32_t>> reads;  // (read slot, active id)
-  };
   static WitnessPlan BuildWitnessPlan(const PairMarking& marking);
 
   LocalScheme(std::unique_ptr<PairMarking> marking, LocalSchemeOptions options)
@@ -162,9 +129,9 @@ class LocalScheme {
         options_(std::move(options)) {}
 
   std::unique_ptr<PairMarking> marking_;
-  // Flattened from *marking_ at construction; slot ids index into the
-  // marking's pair layout, so the plan is only meaningful while marking_
-  // lives (it does: same object, declared just above).
+  // Built from *marking_ at construction; slot ids index into the marking's
+  // pair layout, so the plan is only meaningful while marking_ lives (it
+  // does: same object, declared just above).
   WitnessPlan witness_plan_ QPWM_VIEW_OF(marking_);
   LocalSchemeOptions options_;
   uint32_t distortion_bound_ = 0;

@@ -55,8 +55,6 @@ class HonestTreeServer : public AnswerServer {
 
   AnswerSet Answer(const Tuple& params) const override;
 
-  WeightMap& mutable_weights() { return weights_; }
-
  private:
   const BinaryTree* t_;
   const std::vector<uint32_t>* labels_;
@@ -67,7 +65,7 @@ class HonestTreeServer : public AnswerServer {
 };
 
 /// Planned marker/detector for one (tree, automaton query) instance.
-class TreeScheme {
+class TreeScheme : public PairCarrier {
  public:
   /// `dta` track convention: track 0 = parameter (if param_arity == 1), next
   /// track = result node. The tree, labels and automaton are captured by
@@ -91,48 +89,22 @@ class TreeScheme {
   /// Marker: 1-local distortion embedding an l-bit mark.
   WeightMap Embed(const WeightMap& original, const BitVec& mark) const;
 
-  /// Writes `mark` into `weights` in place with an explicit encoding — the
-  /// hook the adversarial wrapper drives (one bit per pair).
-  void ApplyMark(const BitVec& mark, WeightMap& weights, PairEncoding encoding) const;
-
   /// Detector (non-adversarial): recovers the mark from suspect answers.
+  /// Any erased pair fails with kDetectionFailed (see DecodeStrict).
   [[nodiscard]] Result<BitVec> Detect(const WeightMap& original, const AnswerServer& suspect) const;
 
-  /// Per-pair deltas, strict: a pair node missing from its witness answer
-  /// fails the whole read with kDetectionFailed.
-  [[nodiscard]] Result<std::vector<Weight>> PairDeltas(const WeightMap& original,
-                                         const AnswerServer& suspect) const;
-
-  /// Erasure-aware per-pair reading: a pair node missing from its witness
-  /// answer (dropped subtree, shipped fragment) is flagged `erased` instead
-  /// of failing; the adversarial wrapper abstains on such votes.
-  ///
-  /// With `options.batch_answers` every distinct witness parameter is
-  /// answered once (one AnswerAll round trip) and shared across the pairs
-  /// that read through it; observations are bit-identical either way.
-  /// (`options.dense_views` is a no-op here: tree weights are unary, already
-  /// dense storage.)
-  std::vector<PairObservation> ObservePairs(const WeightMap& original,
-                                            const AnswerServer& suspect,
-                                            const DetectOptions& options = {}) const;
-
-  /// Per-run read state shared across every suspect of a detection run.
-  /// (Tree weights are unary and already dense, so unlike the local scheme
-  /// there is no view to hoist — the context just pins the inputs.)
-  struct DetectContext {
-    const WeightMap* original = nullptr;
-    DetectOptions options;
-  };
-  DetectContext MakeDetectContext(const WeightMap& original,
-                                  const DetectOptions& options) const;
-
-  /// ObservePairs against reusable buffers: fills and returns
-  /// scratch.observations (valid until the next call on that scratch).
-  /// Allocation-free once the scratch is warm; observations are bit-identical
-  /// to ObservePairs for every options combination.
-  const std::vector<PairObservation>& ObservePairsInto(
-      const DetectContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const;
+  // PairCarrier: keys are node ids; both nodes of a pair are read through
+  // the pair's witness parameter.
+  size_t NumPairs() const override { return pairs_.size(); }
+  void Apply(const BitVec& mark, WeightMap& weights,
+             PairEncoding encoding) const override;
+  const WitnessPlan& witness_plan() const override { return witness_plan_; }
+  size_t NumKeys() const override { return t_->size(); }
+  void RowKeys(const FlatAnswers& answers, std::vector<int64_t>& keys,
+               Tuple& scratch) const override;
+  Weight KeyWeight(const WeightMap& weights, uint32_t key) const override {
+    return weights.GetElem(key);
+  }
 
  private:
   struct DetectablePair {
@@ -141,16 +113,6 @@ class TreeScheme {
     Tuple witness;  // parameter whose answers contain both pair nodes
   };
 
-  /// Witness reads grouped at plan time (see LocalScheme::WitnessPlan): the
-  /// distinct witness parameters in first-use order and per witness the
-  /// (read slot, node) resolutions, flattened CSR-style. Slot 2i reads pair
-  /// i's b_plus, slot 2i+1 its b_minus.
-  struct WitnessPlan {
-    // qpwm-lint: allow(legacy-tuple-vector) — witness params interned once at Plan time
-    std::vector<Tuple> params;
-    std::vector<uint32_t> read_offsets;
-    std::vector<std::pair<uint32_t, NodeId>> reads;
-  };
   void BuildWitnessPlan();
 
   TreeScheme() = default;

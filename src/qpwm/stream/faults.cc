@@ -43,15 +43,16 @@ AnswerSet FaultyAnswerServer::Answer(const Tuple& params) const {
   return rows;
 }
 
-std::vector<AnswerSet> FaultyAnswerServer::AnswerBatch(
-    const std::vector<Tuple>& params) const {
+void FaultyAnswerServer::AnswerAllFlat(const std::vector<Tuple>& params,
+                                       FlatAnswers& out) const {
   ticks_ += params.size();
   if (!BeginRoundTrip()) {
-    return std::vector<AnswerSet>(params.size());
+    out.Clear();
+    for (size_t i = 0; i < params.size(); ++i) out.FinishParam();
+    return;
   }
-  std::vector<AnswerSet> out = AnswerAll(*base_, params);
-  for (const AnswerSet& rows : out) ticks_ += rows.size();
-  return out;
+  base_->AnswerAllFlat(params, out);
+  ticks_ += out.num_rows();
 }
 
 }  // namespace qpwm

@@ -54,13 +54,14 @@ FaultPlan MakeFaultPlan(uint64_t seed, uint64_t attempt_index,
 /// plus one per parameter, plus penalties) and realizes the plan. The base
 /// server must outlive the wrapper; a wrapper serves exactly one detection
 /// attempt (its fault state is monotone, not resettable).
-class FaultyAnswerServer : public BatchAnswerServer {
+class FaultyAnswerServer : public AnswerServer {
  public:
   FaultyAnswerServer(const AnswerServer& base, const FaultPlan& plan)
       : base_(&base), plan_(plan) {}
 
   AnswerSet Answer(const Tuple& params) const override;
-  std::vector<AnswerSet> AnswerBatch(const std::vector<Tuple>& params) const override;
+  void AnswerAllFlat(const std::vector<Tuple>& params,
+                     FlatAnswers& out) const override;
 
   /// Virtual serving cost consumed so far.
   uint64_t ticks() const { return ticks_; }

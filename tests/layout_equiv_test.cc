@@ -1,9 +1,9 @@
 // Layout-equivalence suite for the flat-memory (CSR) storage layer: every
 // hot-path rewrite — flat tuple storage, CSR incidence/adjacency, arena
 // neighborhood extraction, pooled detection scratch — must be a pure layout
-// change. These tests pin the observable behavior to naive references and to
-// the legacy (allocating) code paths, on grid, random bounded-degree, and
-// XML-encoded instances, across thread counts {1, 2, 8}.
+// change. These tests pin the observable behavior to naive references (for
+// detection, the per-read oracle in detect_oracle.h), on grid, random
+// bounded-degree, and XML-encoded instances, across thread counts {1, 2, 8}.
 //
 // The across-thread tests double as the TSan coverage for scratch-arena
 // reuse: TypeAll and DetectMany hand pooled scratch (NeighborhoodScratch,
@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "detect_oracle.h"
 #include "qpwm/core/adversarial.h"
 #include "qpwm/core/answers.h"
 #include "qpwm/core/local_scheme.h"
@@ -287,7 +288,7 @@ TEST(LayoutEquivTest, PlansIdenticalAcrossCacheAndThreads) {
   }
 }
 
-// --- Detection: legacy ObservePairs vs scratch reuse vs DetectMany -----------
+// --- Detection: oracle vs kernel with scratch reuse vs DetectMany ------------
 
 TEST(LayoutEquivTest, DetectionBitIdenticalAcrossPathsAndThreads) {
   ThreadGuard guard;
@@ -316,23 +317,15 @@ TEST(LayoutEquivTest, DetectionBitIdenticalAcrossPathsAndThreads) {
     ptrs.push_back(servers.back().get());
   }
 
-  // Every DetectOptions combination, legacy allocating path vs one
-  // DetectScratch reused across all suspects and combinations (the epoch
-  // logic must isolate runs without any clearing).
+  // The oracle vs one DetectScratch reused across all suspects, twice over
+  // (the epoch logic must isolate runs without any clearing).
   DetectScratch scratch;
-  for (const bool batch : {false, true}) {
-    for (const bool dense : {false, true}) {
-      DetectOptions d;
-      d.batch_answers = batch;
-      d.dense_views = dense;
-      const LocalScheme::DetectContext ctx = scheme.MakeDetectContext(weights, d);
-      for (const AnswerServer* s : ptrs) {
-        const std::vector<PairObservation> legacy =
-            scheme.ObservePairs(weights, *s, d);
-        EXPECT_TRUE(
-            SameObservations(legacy, scheme.ObservePairsInto(ctx, *s, scratch)))
-            << "batch=" << batch << " dense=" << dense;
-      }
+  const std::vector<Weight> originals = scheme.SlotOriginals(weights);
+  for (int round = 0; round < 2; ++round) {
+    for (const AnswerServer* s : ptrs) {
+      EXPECT_TRUE(SameObservations(oracle::ObservePairs(scheme, weights, *s),
+                                   scheme.Observe(originals, *s, scratch)))
+          << "round " << round;
     }
   }
 
@@ -382,17 +375,12 @@ TEST(LayoutEquivTest, XmlTreeDetectionBitIdenticalAcrossPathsAndThreads) {
   }
 
   DetectScratch scratch;
-  for (const bool batch : {false, true}) {
-    DetectOptions d;
-    d.batch_answers = batch;
-    const TreeScheme::DetectContext ctx =
-        scheme.MakeDetectContext(enc.weights, d);
+  const std::vector<Weight> originals = scheme.SlotOriginals(enc.weights);
+  for (int round = 0; round < 2; ++round) {
     for (const AnswerServer* s : ptrs) {
-      const std::vector<PairObservation> legacy =
-          scheme.ObservePairs(enc.weights, *s, d);
-      EXPECT_TRUE(
-          SameObservations(legacy, scheme.ObservePairsInto(ctx, *s, scratch)))
-          << "batch=" << batch;
+      EXPECT_TRUE(SameObservations(oracle::ObservePairs(scheme, enc.weights, *s),
+                                   scheme.Observe(originals, *s, scratch)))
+          << "round " << round;
     }
   }
 

@@ -185,6 +185,90 @@ TEST(StructuralAttackTest, StrictDetectionStillFailsOnErasure) {
   EXPECT_EQ(detected.status().code(), StatusCode::kDetectionFailed);
 }
 
+// The witness parameter and key through which `carrier` reads `slot`.
+std::pair<Tuple, uint32_t> ReadOf(const PairCarrier& carrier, uint32_t slot) {
+  const WitnessPlan& plan = carrier.witness_plan();
+  for (size_t s = 0; s < plan.params.size(); ++s) {
+    for (uint32_t i = plan.read_offsets[s]; i < plan.read_offsets[s + 1]; ++i) {
+      if (plan.reads[i].first == slot) return {plan.params[s], plan.reads[i].second};
+    }
+  }
+  ADD_FAILURE() << "slot " << slot << " has no read";
+  return {};
+}
+
+// Plants a second row for pair 0's plus element in its witness answer: a
+// forged weight (the value that flips the pair's delta) after the true row,
+// the forged row before the true one, and a second true row. A forged
+// duplicate must read as an erasure whichever row comes first; an equal
+// duplicate reads normally. Every other pair reads as on clean answers.
+void CheckDuplicateRowRule(const PairCarrier& carrier, const Tuple& element,
+                           const WeightMap& original, const WeightMap& marked,
+                           const AnswerServer& base) {
+  const std::vector<PairObservation> clean = carrier.ObservePairs(original, base);
+  ASSERT_FALSE(clean[0].erased);
+  ASSERT_NE(clean[0].delta, 0);
+  const Tuple witness = ReadOf(carrier, 0).first;
+  const Weight truth = marked.Get(element);
+  const Weight forged = truth - clean[0].delta;
+  auto observe = [&](bool forged_first, Weight planted) {
+    TamperedAnswerServer server(base);
+    if (forged_first) {
+      // Erase drops only the base row; planted rows are appended after it.
+      server.Erase(element);
+      server.InsertAt(witness, {element, forged});
+    }
+    server.InsertAt(witness, {element, planted});
+    std::vector<PairObservation> obs = carrier.ObservePairs(original, server);
+    EXPECT_EQ(obs.size(), clean.size());
+    for (size_t i = 1; i < obs.size() && i < clean.size(); ++i) {
+      EXPECT_EQ(obs[i].erased, clean[i].erased) << "pair " << i;
+      EXPECT_EQ(obs[i].delta, clean[i].delta) << "pair " << i;
+    }
+    return obs[0];
+  };
+  EXPECT_TRUE(observe(false, forged).erased) << "forged row last chose the read";
+  EXPECT_TRUE(observe(true, truth).erased) << "forged row first chose the read";
+  const PairObservation equal = observe(false, truth);
+  EXPECT_FALSE(equal.erased);
+  EXPECT_EQ(equal.delta, clean[0].delta);
+}
+
+TEST(StructuralAttackTest, LocalDuplicateRowReadsAsErasureUnlessEqual) {
+  Fixture s(200, 67);
+  const LocalScheme& scheme = *s.scheme;
+  ASSERT_GT(scheme.CapacityBits(), 0u);
+  BitVec mark(scheme.CapacityBits());
+  for (size_t i = 0; i < mark.size(); ++i) mark.Set(i, i % 2 == 0);
+  const WeightMap marked = scheme.Embed(s.weights, mark);
+  HonestServer base(*s.index, marked);
+  const Tuple element = s.index->active_element(ReadOf(scheme, 0).second);
+  CheckDuplicateRowRule(scheme, element, s.weights, marked, base);
+}
+
+TEST(StructuralAttackTest, TreeDuplicateRowReadsAsErasureUnlessEqual) {
+  Rng rng(71);
+  XmlDocument doc = RandomSchoolDocument(60, rng, 0, 20, 2);
+  EncodedXml enc = EncodeXml(doc, {"exam"}).ValueOrDie();
+  XPathQuery query =
+      XPathQuery::Parse("school/student[firstname=$1]/exam").ValueOrDie();
+  TrackedDta dta = query.Compile(enc).ValueOrDie();
+  const auto sigma = static_cast<uint32_t>(enc.sigma.size());
+  TreeSchemeOptions opts;
+  opts.key = {71, 72};
+  opts.encoding = PairEncoding::kAntipodal;
+  TreeScheme scheme =
+      TreeScheme::Plan(enc.tree, enc.tree.labels(), sigma, dta.dta, 1, opts)
+          .ValueOrDie();
+  ASSERT_GT(scheme.CapacityBits(), 0u);
+  BitVec mark(scheme.CapacityBits());
+  for (size_t i = 0; i < mark.size(); ++i) mark.Set(i, i % 2 == 0);
+  const WeightMap marked = scheme.Embed(enc.weights, mark);
+  HonestTreeServer base(enc.tree, enc.tree.labels(), sigma, dta.dta, 1, marked);
+  const Tuple element{ReadOf(scheme, 0).second};
+  CheckDuplicateRowRule(scheme, element, enc.weights, marked, base);
+}
+
 TEST(StructuralAttackTest, CollusionDomainMismatchIsAnError) {
   Fixture s(100, 41);
   WeightMap other(1, s.g.universe_size() + 5);

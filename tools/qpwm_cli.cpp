@@ -274,7 +274,7 @@ Result<WeightMap> FingerprintMark(const Args& args,
 // the full candidate pool. Returns the process exit code.
 Result<int> FingerprintTrace(const Args& args, const AdversarialScheme& adv,
                              const WeightMap& original,
-                             BatchAnswerServer& server) {
+                             const AnswerServer& server) {
   if (args.Has("mark")) {
     return Status::InvalidArgument(
         "--mark and --fingerprint are mutually exclusive");
