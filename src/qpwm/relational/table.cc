@@ -1,8 +1,6 @@
 #include "qpwm/relational/table.h"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
 
 #include "qpwm/util/check.h"
 #include "qpwm/util/random.h"
@@ -12,12 +10,47 @@ namespace qpwm {
 
 Table::Table(std::string name, std::vector<ColumnSpec> columns)
     : name_(std::move(name)), columns_(std::move(columns)) {
-  for (const ColumnSpec& c : columns_) {
-    if (c.role == ColumnRole::kWeight) {
-      QPWM_CHECK(!c.weight_of.empty());
-      QPWM_CHECK(ColumnIndex(c.weight_of).ok());
+  keys_.resize(columns_.size());
+  weights_.resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (columns_[c].role == ColumnRole::kKey) {
+      keys_[c] = std::make_shared<std::vector<std::string>>();
+    } else {
+      QPWM_CHECK(!columns_[c].weight_of.empty());
+      QPWM_CHECK(ColumnIndex(columns_[c].weight_of).ok());
     }
   }
+}
+
+Table::Table(std::string name, std::vector<ColumnSpec> columns, std::vector<Column> cells)
+    : Table(std::move(name), std::move(columns)) {
+  QPWM_CHECK_EQ(cells.size(), columns_.size());
+  num_rows_ = cells.empty() ? 0 : std::max(cells[0].keys.size(), cells[0].weights.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (keys_[c]) {
+      QPWM_CHECK(cells[c].weights.empty());
+      QPWM_CHECK_EQ(cells[c].keys.size(), num_rows_);
+      *keys_[c] = std::move(cells[c].keys);
+    } else {
+      QPWM_CHECK(cells[c].keys.empty());
+      QPWM_CHECK_EQ(cells[c].weights.size(), num_rows_);
+      weights_[c] = std::move(cells[c].weights);
+    }
+  }
+}
+
+std::vector<Cell> Table::row(size_t i) const {
+  QPWM_CHECK_LT(i, num_rows_);
+  std::vector<Cell> out;
+  out.reserve(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (keys_[c]) {
+      out.emplace_back((*keys_[c])[i]);
+    } else {
+      out.emplace_back(weights_[c][i]);
+    }
+  }
+  return out;
 }
 
 Result<size_t> Table::ColumnIndex(const std::string& name) const {
@@ -39,23 +72,33 @@ Status Table::AddRow(std::vector<Cell> row) {
                                      columns_[i].name + "'");
     }
   }
-  rows_.push_back(std::move(row));
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (!keys_[c]) {
+      weights_[c].push_back(std::get<Weight>(row[c]));
+      continue;
+    }
+    if (keys_[c].use_count() > 1) {
+      keys_[c] = std::make_shared<std::vector<std::string>>(*keys_[c]);
+    }
+    keys_[c]->push_back(std::move(std::get<std::string>(row[c])));
+  }
+  ++num_rows_;
   return Status::OK();
 }
 
 const std::string& Table::KeyAt(size_t row, size_t col) const {
   QPWM_CHECK(columns_[col].role == ColumnRole::kKey);
-  return std::get<std::string>(rows_[row][col]);
+  return (*keys_[col])[row];
 }
 
 Weight Table::WeightAt(size_t row, size_t col) const {
   QPWM_CHECK(columns_[col].role == ColumnRole::kWeight);
-  return std::get<Weight>(rows_[row][col]);
+  return weights_[col][row];
 }
 
 void Table::SetWeightAt(size_t row, size_t col, Weight w) {
   QPWM_CHECK(columns_[col].role == ColumnRole::kWeight);
-  rows_[row][col] = w;
+  weights_[col][row] = w;
 }
 
 std::vector<size_t> Table::WeightColumns() const {
@@ -85,77 +128,75 @@ Result<Table*> Database::FindMutable(const std::string& name) {
   return Status::NotFound("no table named '" + name + "'");
 }
 
+namespace {
+
+// A table's key columns, and per weight column the position among them of
+// the key that carries its weight.
+struct KeyLayout {
+  std::vector<size_t> key_cols;
+  std::vector<std::pair<size_t, size_t>> weights;  // (weight column, key position)
+};
+
+KeyLayout LayoutOf(const Table& t) {
+  KeyLayout layout;
+  for (size_t c = 0; c < t.columns().size(); ++c) {
+    if (t.columns()[c].role == ColumnRole::kKey) layout.key_cols.push_back(c);
+  }
+  for (size_t c : t.WeightColumns()) {
+    const size_t key_col = t.ColumnIndex(t.columns()[c].weight_of).ValueOrDie();
+    auto pos = std::find(layout.key_cols.begin(), layout.key_cols.end(), key_col);
+    // Weights attach to key columns (only enforced once a row needs it).
+    QPWM_CHECK(pos != layout.key_cols.end() || t.num_rows() == 0);
+    layout.weights.emplace_back(c, static_cast<size_t>(pos - layout.key_cols.begin()));
+  }
+  return layout;
+}
+
+}  // namespace
+
 Result<RelationalInstance> ToWeightedStructure(const Database& db) {
-  // Per table: its key columns and, per weight column, the position among
-  // the key columns of the key that carries the weight.
-  struct TablePlan {
-    std::vector<size_t> key_cols;
-    std::vector<std::pair<size_t, size_t>> weights;  // (weight column, key position)
-    size_t first_cell = 0;  // offset of the table's rows in `cells`
-  };
-  std::vector<TablePlan> plans(db.tables().size());
+  const size_t num_tables = db.tables().size();
+  std::vector<KeyLayout> layouts;
+  layouts.reserve(num_tables);
+  Signature sig;
   size_t total_cells = 0;
-  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
-    const Table& t = db.tables()[ti];
-    TablePlan& plan = plans[ti];
-    for (size_t c = 0; c < t.columns().size(); ++c) {
-      if (t.columns()[c].role == ColumnRole::kKey) plan.key_cols.push_back(c);
-    }
-    for (size_t c : t.WeightColumns()) {
-      const size_t key_col = t.ColumnIndex(t.columns()[c].weight_of).ValueOrDie();
-      auto pos = std::find(plan.key_cols.begin(), plan.key_cols.end(), key_col);
-      // Weights attach to key columns (only enforced once a row needs it).
-      QPWM_CHECK(pos != plan.key_cols.end() || t.num_rows() == 0);
-      plan.weights.emplace_back(c, static_cast<size_t>(pos - plan.key_cols.begin()));
-    }
-    plan.first_cell = total_cells;
-    total_cells += t.num_rows() * plan.key_cols.size();
+  for (const Table& t : db.tables()) {
+    layouts.push_back(LayoutOf(t));
+    sig.AddRelation(t.name(), static_cast<uint32_t>(layouts.back().key_cols.size()));
+    total_cells += t.num_rows() * layouts.back().key_cols.size();
   }
 
-  // Intern every key cell once, ids in first-appearance order (table, row,
-  // column); `cells` keeps each row's key ids, row-major per table. The views
-  // point into `db`, which outlives this function.
-  std::unordered_map<std::string_view, ElemId> intern;
-  intern.reserve(total_cells);
-  std::vector<std::string_view> names;
-  std::vector<ElemId> cells(total_cells);
-  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
+  // Intern every key cell once, straight into the structure's name index:
+  // ids in first-appearance order (table, row, column).
+  RelationalInstance out;
+  out.structure = Structure(std::move(sig), 0);
+  out.structure.ReserveElementNames(total_cells);
+  out.row_ids.resize(num_tables);
+  for (size_t ti = 0; ti < num_tables; ++ti) {
     const Table& t = db.tables()[ti];
-    ElemId* out = cells.data() + plans[ti].first_cell;
+    std::vector<ElemId>& ids = out.row_ids[ti];
+    ids.reserve(t.num_rows() * layouts[ti].key_cols.size());
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      const std::vector<Cell>& row = t.row(r);
-      for (size_t c : plans[ti].key_cols) {
-        const std::string_view v = std::get<std::string>(row[c]);
-        auto [it, inserted] = intern.try_emplace(v, static_cast<ElemId>(names.size()));
-        if (inserted) names.push_back(v);
-        *out++ = it->second;
+      for (size_t c : layouts[ti].key_cols) {
+        ids.push_back(out.structure.InternElement(t.KeyAt(r, c)));
       }
     }
   }
 
-  Signature sig;
-  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
-    sig.AddRelation(db.tables()[ti].name(),
-                    static_cast<uint32_t>(plans[ti].key_cols.size()));
-  }
-  const size_t n = names.size();
-  RelationalInstance out;
-  out.structure = Structure(std::move(sig), n);
+  const size_t n = out.structure.universe_size();
   out.weights = WeightMap(1, n);
   std::vector<bool>& has_weight = out.has_weight;
   has_weight.assign(n, false);
-
-  for (size_t ti = 0; ti < db.tables().size(); ++ti) {
+  for (size_t ti = 0; ti < num_tables; ++ti) {
     const Table& t = db.tables()[ti];
-    const TablePlan& plan = plans[ti];
-    const size_t arity = plan.key_cols.size();
-    const ElemId* rows = cells.data() + plan.first_cell;
+    const size_t arity = layouts[ti].key_cols.size();
+    const std::vector<ElemId>& ids = out.row_ids[ti];
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      for (const auto& [c, key_pos] : plan.weights) {
-        const ElemId e = rows[r * arity + key_pos];
+      for (const auto& [c, key_pos] : layouts[ti].weights) {
+        const ElemId e = ids[r * arity + key_pos];
         const Weight w = t.WeightAt(r, c);
         if (has_weight[e] && out.weights.GetElem(e) != w) {
-          return Status::InvalidArgument("element '" + std::string(names[e]) +
+          return Status::InvalidArgument("element '" + out.structure.ElementName(e) +
                                          "' receives two different weights");
         }
         has_weight[e] = true;
@@ -168,29 +209,46 @@ Result<RelationalInstance> ToWeightedStructure(const Database& db) {
       if (t.num_rows() > 0) out.structure.AddTuple(ti, Tuple{});
       continue;
     }
-    std::vector<ElemId> flat(rows, rows + t.num_rows() * arity);
+    std::vector<ElemId> flat = ids;
     SortUniqueRecords(flat, static_cast<uint32_t>(arity));
     out.structure.mutable_relation(ti).SwapFlatUnchecked(flat);
   }
+  return out;
+}
 
-  std::vector<std::string> owned;
-  owned.reserve(n);
-  for (std::string_view v : names) owned.emplace_back(v);
-  out.structure.SetElementNames(std::move(owned));
+std::vector<ElemId> KeyColumnIds(const Database& db, const RelationalInstance& instance,
+                                 size_t table, size_t col) {
+  const Table& t = db.tables()[table];
+  QPWM_CHECK(t.columns()[col].role == ColumnRole::kKey);
+  const KeyLayout layout = LayoutOf(t);
+  const size_t arity = layout.key_cols.size();
+  const size_t key_pos = static_cast<size_t>(
+      std::find(layout.key_cols.begin(), layout.key_cols.end(), col) - layout.key_cols.begin());
+  const std::vector<ElemId>& ids = instance.row_ids[table];
+  QPWM_CHECK_EQ(ids.size(), t.num_rows() * arity);
+  std::vector<ElemId> out(t.num_rows());
+  for (size_t r = 0; r < out.size(); ++r) out[r] = ids[r * arity + key_pos];
   return out;
 }
 
 Result<Database> ApplyWeightsToDatabase(const Database& db,
                                         const RelationalInstance& instance,
                                         const WeightMap& weights) {
+  if (instance.row_ids.size() != db.tables().size()) {
+    return Status::InvalidArgument("instance was not built from this database");
+  }
   Database out = db;
-  for (Table& t : out.mutable_tables()) {
-    for (size_t c : t.WeightColumns()) {
-      size_t key_col = t.ColumnIndex(t.columns()[c].weight_of).ValueOrDie();
+  for (size_t ti = 0; ti < out.tables().size(); ++ti) {
+    Table& t = out.mutable_tables()[ti];
+    const KeyLayout layout = LayoutOf(t);
+    const size_t arity = layout.key_cols.size();
+    const std::vector<ElemId>& ids = instance.row_ids[ti];
+    if (ids.size() != t.num_rows() * arity) {
+      return Status::InvalidArgument("instance was not built from table " + t.name());
+    }
+    for (const auto& [c, key_pos] : layout.weights) {
       for (size_t r = 0; r < t.num_rows(); ++r) {
-        auto elem = instance.structure.FindElement(t.KeyAt(r, key_col));
-        if (!elem.ok()) return elem.status();
-        t.SetWeightAt(r, c, weights.GetElem(elem.value()));
+        t.SetWeightAt(r, c, weights.GetElem(ids[r * arity + key_pos]));
       }
     }
   }

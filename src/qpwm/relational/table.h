@@ -8,6 +8,7 @@
 #define QPWM_RELATIONAL_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -27,18 +28,29 @@ struct ColumnSpec {
   std::string weight_of;
 };
 
-/// A cell: strings for key columns, integers for weight columns.
+/// A cell: strings for key columns, integers for weight columns. Used to
+/// build a table row by row; a table stores its cells by column.
 using Cell = std::variant<std::string, Weight>;
 
 class Table {
  public:
+  /// One column's cells: `keys` for a key column, `weights` for a weight
+  /// column (the other stays empty).
+  struct Column {
+    std::vector<std::string> keys;
+    std::vector<Weight> weights;
+  };
+
   Table(std::string name, std::vector<ColumnSpec> columns);
+  /// A table over filled columns: `cells[c]` holds column c's cells, and
+  /// every column has the same number of them.
+  Table(std::string name, std::vector<ColumnSpec> columns, std::vector<Column> cells);
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnSpec>& columns() const { return columns_; }
-  size_t num_rows() const { return rows_.size(); }
-  const std::vector<Cell>& row(size_t i) const { return rows_[i]; }
-  std::vector<Cell>& mutable_row(size_t i) { return rows_[i]; }
+  size_t num_rows() const { return num_rows_; }
+  /// Row `i` as cells (a copy, e.g. to add it to another table).
+  std::vector<Cell> row(size_t i) const;
 
   /// Index of the column named `name`.
   [[nodiscard]] Result<size_t> ColumnIndex(const std::string& name) const;
@@ -57,7 +69,13 @@ class Table {
  private:
   std::string name_;
   std::vector<ColumnSpec> columns_;
-  std::vector<std::vector<Cell>> rows_;
+  size_t num_rows_ = 0;
+  // Column c's cells: keys_[c] if it is a key column (null otherwise),
+  // weights_[c] if it is a weight column (empty otherwise). Key values never
+  // change, so copies of a table share their key columns; AddRow copies a
+  // shared column before appending to it.
+  std::vector<std::shared_ptr<std::vector<std::string>>> keys_;
+  std::vector<std::vector<Weight>> weights_;
 };
 
 /// A named collection of tables.
@@ -82,6 +100,10 @@ struct RelationalInstance {
   /// Element actually appears in some weight cell (key-only elements such as
   /// city names carry no weight; their WeightMap entry is a filler 0).
   std::vector<bool> has_weight;
+  /// Per table of the source database, each row's key-cell element ids,
+  /// row-major over the table's key columns in column order: row r of a table
+  /// with k key columns is the tuple at [r * k, r * k + k).
+  std::vector<std::vector<ElemId>> row_ids;
 
   RelationalInstance() : weights(1, 0) {}
 };
@@ -89,8 +111,15 @@ struct RelationalInstance {
 /// Converts; fails if one element receives two different weights.
 [[nodiscard]] Result<RelationalInstance> ToWeightedStructure(const Database& db);
 
+/// The element id of key column `col` of `db.tables()[table]`, one per row,
+/// read from `instance.row_ids` (`instance` must have been built from `db`).
+std::vector<ElemId> KeyColumnIds(const Database& db, const RelationalInstance& instance,
+                                 size_t table, size_t col);
+
 /// Writes (watermarked) element weights back into the weight cells of a copy
-/// of `db` (inverse of ToWeightedStructure on the weight part).
+/// of `db` (inverse of ToWeightedStructure on the weight part). `instance`
+/// must have been built from `db`: each cell's element comes from its
+/// row_ids. The copy shares db's key columns.
 [[nodiscard]] Result<Database> ApplyWeightsToDatabase(const Database& db,
                                         const RelationalInstance& instance,
                                         const WeightMap& weights);

@@ -169,6 +169,16 @@ constexpr ElemId kNoName = UINT32_MAX;
 
 size_t NameHash(std::string_view name) { return std::hash<std::string_view>{}(name); }
 
+// Slot holding the id named `name`, or the empty slot ending its probe
+// chain. `slots` must not be empty.
+size_t ProbeName(const std::vector<ElemId>& slots, const std::vector<std::string>& names,
+                 std::string_view name) {
+  const size_t mask = slots.size() - 1;
+  size_t pos = NameHash(name) & mask;
+  while (slots[pos] != kNoName && names[slots[pos]] != name) pos = (pos + 1) & mask;
+  return pos;
+}
+
 // Slot holding `e`, or slots.size() if `e` is not indexed.
 size_t FindNameSlot(const std::vector<ElemId>& slots,
                     const std::vector<std::string>& names, ElemId e) {
@@ -186,16 +196,10 @@ size_t FindNameSlot(const std::vector<ElemId>& slots,
 // table at most half full.
 bool InsertName(std::vector<ElemId>& slots, const std::vector<std::string>& names,
                 ElemId e) {
-  const size_t mask = slots.size() - 1;
-  size_t pos = NameHash(names[e]) & mask;
-  for (; slots[pos] != kNoName; pos = (pos + 1) & mask) {
-    if (names[slots[pos]] == names[e]) {
-      slots[pos] = e;
-      return false;
-    }
-  }
+  const size_t pos = ProbeName(slots, names, names[e]);
+  const bool fresh = slots[pos] == kNoName;
   slots[pos] = e;
-  return true;
+  return fresh;
 }
 
 // Empties slot `pos`; backward-shift deletion keeps every probe chain intact.
@@ -256,16 +260,27 @@ void Structure::SetElementName(ElemId e, std::string name) {
   gen_.Bump();
 }
 
-void Structure::SetElementNames(std::vector<std::string> names) {
-  QPWM_CHECK_EQ(names.size(), n_);
-  element_names_ = std::move(names);
-  name_slots_.clear();
-  ResizeNameSlots(name_slots_, element_names_, n_);
-  named_count_ = 0;
-  for (ElemId e = 0; e < n_; ++e) {
-    if (InsertName(name_slots_, element_names_, e)) ++named_count_;
+void Structure::ReserveElementNames(size_t count) {
+  element_names_.reserve(count);
+  if (name_slots_.size() < 2 * (count + 1)) {
+    ResizeNameSlots(name_slots_, element_names_, count);
   }
   gen_.Bump();
+}
+
+ElemId Structure::InternElement(std::string_view name) {
+  QPWM_CHECK_EQ(element_names_.size(), n_);
+  if (name_slots_.size() < 2 * (named_count_ + 1)) {
+    ResizeNameSlots(name_slots_, element_names_, named_count_ + 1);
+  }
+  const size_t pos = ProbeName(name_slots_, element_names_, name);
+  if (name_slots_[pos] != kNoName) return name_slots_[pos];
+  const ElemId e = static_cast<ElemId>(n_++);
+  element_names_.emplace_back(name);
+  name_slots_[pos] = e;
+  ++named_count_;
+  gen_.Bump();
+  return e;
 }
 
 const std::string& Structure::ElementName(ElemId e) const {
@@ -274,15 +289,12 @@ const std::string& Structure::ElementName(ElemId e) const {
   return element_names_[e];
 }
 
-Result<ElemId> Structure::FindElement(const std::string& name) const {
+Result<ElemId> Structure::FindElement(std::string_view name) const {
   if (!name_slots_.empty()) {
-    const size_t mask = name_slots_.size() - 1;
-    for (size_t pos = NameHash(name) & mask; name_slots_[pos] != kNoName;
-         pos = (pos + 1) & mask) {
-      if (element_names_[name_slots_[pos]] == name) return name_slots_[pos];
-    }
+    const size_t pos = ProbeName(name_slots_, element_names_, name);
+    if (name_slots_[pos] != kNoName) return name_slots_[pos];
   }
-  return Status::NotFound("no element named '" + name + "'");
+  return Status::NotFound("no element named '" + std::string(name) + "'");
 }
 
 size_t Structure::TotalTuples() const {

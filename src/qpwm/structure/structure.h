@@ -17,6 +17,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -301,13 +302,16 @@ class Structure {
   /// the lookup index; when two elements share a name, FindElement returns
   /// the one named last.
   void SetElementName(ElemId e, std::string name);
-  /// Names every element at once: `names[e]` for e < universe_size(). Same
-  /// lookup result as SetElementName over e = 0, 1, ... in order.
-  void SetElementNames(std::vector<std::string> names);
+  /// Room for `count` names: interning that many never rehashes the index.
+  void ReserveElementNames(size_t count);
+  /// Id of the element named `name`; a name not seen yet names a new element
+  /// appended to the universe. Every existing element must be named (as in a
+  /// structure grown from an empty universe this way). Hashes `name` once.
+  ElemId InternElement(std::string_view name);
   const std::string& ElementName(ElemId e) const;
   /// Id of the element named `name`, if any. Const and thread-safe: the
   /// lookup index is maintained eagerly by the setters.
-  [[nodiscard]] Result<ElemId> FindElement(const std::string& name) const;
+  [[nodiscard]] Result<ElemId> FindElement(std::string_view name) const;
 
   /// Total number of tuples across relations.
   size_t TotalTuples() const;

@@ -22,6 +22,20 @@ namespace qpwm {
 /// distortions never underflow.
 using Weight = int64_t;
 
+/// Largest sum of |w| a loaded table or document may carry. It keeps every
+/// +-1 mark, every answer sum and every suspect - original difference inside
+/// int64, so loaders reject inputs above it.
+inline constexpr uint64_t kMaxTotalWeight = uint64_t{1} << 61;
+
+/// Adds |w| to `total`; false once the total exceeds kMaxTotalWeight.
+inline bool AddToTotalWeight(uint64_t& total, Weight w) {
+  const uint64_t magnitude =
+      w < 0 ? uint64_t{0} - static_cast<uint64_t>(w) : static_cast<uint64_t>(w);
+  if (magnitude > kMaxTotalWeight) return false;
+  total += magnitude;
+  return total <= kMaxTotalWeight;
+}
+
 /// W : U^s -> Weight. Dense storage for the common s = 1 case, hashed storage
 /// for general s. Unassigned tuples weigh 0.
 class WeightMap {

@@ -12,11 +12,16 @@
 namespace qpwm {
 namespace {
 
-Result<Weight> ParseWeight(const std::string& text) {
+// Parses one weight element's text and adds its magnitude to `total`, the
+// document's running sum of |weight|.
+Result<Weight> ParseWeight(const std::string& text, uint64_t& total) {
   Weight value = 0;
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || ptr != text.data() + text.size()) {
     return Status::ParseError("weight element text '" + text + "' is not an integer");
+  }
+  if (!AddToTotalWeight(total, value)) {
+    return Status::ParseError("sum of |weight| exceeds 2^61 at weight '" + text + "'");
   }
   return value;
 }
@@ -66,7 +71,7 @@ class Encoder {
     const bool is_weight = weight_tags_.count(n.tag) > 0;
     if (is_weight) {
       std::string text = doc_.TextContent(xml_id);
-      auto w = ParseWeight(text);
+      auto w = ParseWeight(text, total_weight_);
       if (!w.ok()) return w.status();
       pending_weights_.emplace_back(v, w.value());
       bool has_element_child = false;
@@ -123,6 +128,7 @@ class Encoder {
   const std::set<std::string>& weight_tags_;
   EncodedXml out_;
   std::vector<std::pair<NodeId, Weight>> pending_weights_;
+  uint64_t total_weight_ = 0;  // sum of |weight| so far
 };
 
 }  // namespace
@@ -264,8 +270,9 @@ Result<SuspectAlignment> AlignSuspectWeights(
   // Suspect weight records, grouped per signature in document order.
   std::map<std::string, std::vector<Weight>> suspect_by_sig;
   size_t suspect_records = 0;
+  uint64_t total_weight = 0;
   for (XmlNodeId e : WeightElements(suspect, suspect.root(), weight_tags)) {
-    auto w = ParseWeight(suspect.TextContent(e));
+    auto w = ParseWeight(suspect.TextContent(e), total_weight);
     if (!w.ok()) return w.status();
     suspect_by_sig[WeightSignature(suspect, e, weight_tags)].push_back(w.value());
     ++suspect_records;

@@ -194,8 +194,24 @@ TEST(RelationalLoadTest, MatchesOracle) {
     SCOPED_TRACE(trial);
     const Database db = RandomLoadDatabase(rng, trial % 3 == 0);
     const Result<RelationalInstance> want = oracle::ToWeightedStructure(db);
-    ExpectSameInstance(ToWeightedStructure(db), want);
-    if (!want.ok()) ++errors;
+    const Result<RelationalInstance> got = ToWeightedStructure(db);
+    ExpectSameInstance(got, want);
+    if (!want.ok()) {
+      ++errors;
+      continue;
+    }
+    // The kept row -> element ids name each key cell's element.
+    for (size_t ti = 0; ti < db.tables().size(); ++ti) {
+      const Table& t = db.tables()[ti];
+      for (size_t c = 0; c < t.columns().size(); ++c) {
+        if (t.columns()[c].role != ColumnRole::kKey) continue;
+        const std::vector<ElemId> ids = KeyColumnIds(db, got.value(), ti, c);
+        ASSERT_EQ(ids.size(), t.num_rows());
+        for (size_t r = 0; r < t.num_rows(); ++r) {
+          EXPECT_EQ(ids[r], got.value().structure.FindElement(t.KeyAt(r, c)).ValueOrDie());
+        }
+      }
+    }
   }
   EXPECT_GT(errors, 10u);  // the error path is exercised, not just the happy one
 }

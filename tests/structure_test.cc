@@ -89,12 +89,6 @@ TEST(StructureTest, DuplicateNameResolvesToLastWriter) {
   EXPECT_EQ(s.FindElement("dup").ValueOrDie(), 3u);
   s.SetElementName(1, "dup");
   EXPECT_EQ(s.FindElement("dup").ValueOrDie(), 1u);
-  // Bulk naming follows the same rule: the highest id wins.
-  Structure bulk = TinyGraph();
-  bulk.SetElementNames({"x", "y", "x", "z"});
-  EXPECT_EQ(bulk.FindElement("x").ValueOrDie(), 2u);
-  EXPECT_EQ(bulk.FindElement("y").ValueOrDie(), 1u);
-  EXPECT_EQ(bulk.ElementName(0), "x");
 }
 
 TEST(StructureTest, EmptyNameIsFoundOnlyWhenSet) {
@@ -106,10 +100,10 @@ TEST(StructureTest, EmptyNameIsFoundOnlyWhenSet) {
 }
 
 TEST(StructureTest, CopiedStructureResolvesNames) {
-  Structure s(GraphSignature(), 500);
+  Structure s(GraphSignature(), 0);
   std::vector<std::string> names;
   for (ElemId e = 0; e < 500; ++e) names.push_back("n" + std::to_string(e));
-  s.SetElementNames(names);
+  for (const std::string& name : names) s.InternElement(name);
   const Structure copy = s;
   s.SetElementName(7, "renamed");
   for (ElemId e = 0; e < 500; ++e) {
@@ -136,11 +130,42 @@ TEST(StructureTest, ManyRenamesKeepEveryNameFindable) {
   }
 }
 
-TEST(StructureTest, SetElementNamesBumpsGeneration) {
-  Structure s = TinyGraph();
+TEST(StructureTest, InternElementBumpsGeneration) {
+  Structure s(GraphSignature(), 0);
   const uint64_t before = s.generation();
-  s.SetElementNames({"a", "b", "c", "d"});
+  s.InternElement("a");
   EXPECT_GT(s.generation(), before);
+}
+
+// Interning grows the universe by one element per new name, in order of
+// first appearance, and answers a repeated name with the id it already has.
+// Past 2000 names the index has rehashed several times (with and without a
+// reservation); every name stays findable and renames still work after it.
+TEST(StructureTest, InternElementAssignsFirstAppearanceIds) {
+  for (const size_t reserve : {size_t{0}, size_t{700}, size_t{5000}}) {
+    Structure s(GraphSignature(), 0);
+    s.ReserveElementNames(reserve);
+    for (ElemId i = 0; i < 3000; ++i) {
+      // Every third call repeats an earlier name.
+      if (i % 3 == 2) {
+        const ElemId earlier = (i / 3) * 2;
+        EXPECT_EQ(s.InternElement("k" + std::to_string(earlier)), earlier);
+        continue;
+      }
+      const ElemId next = static_cast<ElemId>(s.universe_size());
+      EXPECT_EQ(s.InternElement("k" + std::to_string(next)), next);
+    }
+    ASSERT_EQ(s.universe_size(), 2000u);
+    EXPECT_EQ(s.InternElement(""), 2000u);  // the empty name is a name too
+    for (ElemId e = 0; e < 2000; ++e) {
+      EXPECT_EQ(s.ElementName(e), "k" + std::to_string(e));
+      EXPECT_EQ(s.FindElement("k" + std::to_string(e)).ValueOrDie(), e);
+    }
+    s.SetElementName(5, "renamed");
+    EXPECT_FALSE(s.FindElement("k5").ok());
+    EXPECT_EQ(s.InternElement("renamed"), 5u);
+    EXPECT_EQ(s.InternElement("k5"), 2001u);
+  }
 }
 
 TEST(IncidenceIndexTest, ListsTuplesPerElement) {

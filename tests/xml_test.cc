@@ -113,6 +113,32 @@ TEST(EncodeTest, WeightTagWithNonNumericTextFails) {
   EXPECT_FALSE(EncodeXml(doc, {"exam"}).ok());
 }
 
+// Sum of |weight| above 2^61 would let +-1 marks, answer sums and
+// suspect - original differences wrap int64: rejected at load.
+TEST(EncodeTest, WeightSumOverBoundFails) {
+  const auto encode = [](const std::string& exams) {
+    return EncodeXml(MustParseXml("<a>" + exams + "</a>"), {"exam"});
+  };
+  const std::string half = "<exam>1152921504606846976</exam>";  // 2^60
+  EXPECT_TRUE(encode(half + "<exam>-1152921504606846976</exam>").ok());
+  for (const std::string& exams :
+       {half + half + "<exam>-1</exam>", std::string("<exam>-9223372036854775808</exam>"),
+        std::string("<exam>9223372036854775807</exam>")}) {
+    auto enc = encode(exams);
+    ASSERT_FALSE(enc.ok()) << exams;
+    EXPECT_EQ(enc.status().code(), StatusCode::kParseError);
+  }
+}
+
+TEST(EncodeTest, SuspectWeightSumOverBoundFails) {
+  XmlDocument doc = MustParseXml("<a><exam>1</exam></a>");
+  auto enc = EncodeXml(doc, {"exam"}).ValueOrDie();
+  XmlDocument suspect = MustParseXml("<a><exam>-9223372036854775808</exam></a>");
+  auto aligned = AlignSuspectWeights(doc, enc, suspect, {"exam"});
+  ASSERT_FALSE(aligned.ok());
+  EXPECT_EQ(aligned.status().code(), StatusCode::kParseError);
+}
+
 TEST(EncodeTest, WeightTagWithElementChildFails) {
   XmlDocument doc = MustParseXml("<a><exam><sub/>1</exam></a>");
   EXPECT_FALSE(EncodeXml(doc, {"exam"}).ok());

@@ -454,11 +454,12 @@ Result<CsvSetup> SetupCsv(const Args& args, const std::string& csv_path) {
     const Table* t = setup.db.Find(setup.table_name).ValueOrDie();
     auto col = t->ColumnIndex(args.Get("param-column").ValueOrDie());
     if (!col.ok()) return col.status();
+    if (t->columns()[col.value()].role != ColumnRole::kKey) {
+      return Status::InvalidArgument("--param-column must name a key column");
+    }
     // First-appearance order of the column's values, deduplicated by id.
-    const Structure& g = setup.instance->structure;
-    std::vector<bool> seen(g.universe_size(), false);
-    for (size_t r = 0; r < t->num_rows(); ++r) {
-      const ElemId e = g.FindElement(t->KeyAt(r, col.value())).ValueOrDie();
+    std::vector<bool> seen(setup.instance->structure.universe_size(), false);
+    for (ElemId e : KeyColumnIds(setup.db, *setup.instance, 0, col.value())) {
       if (seen[e]) continue;
       seen[e] = true;
       domain.push_back(Tuple{e});
@@ -480,6 +481,13 @@ Result<CsvSetup> SetupCsv(const Args& args, const std::string& csv_path) {
   if (!scheme.ok()) return scheme.status();
   setup.scheme = std::make_unique<LocalScheme>(std::move(scheme).value());
   return setup;
+}
+
+// Writes the loaded table with the `marked` weights to `path`.
+Status WriteMarkedCsv(const CsvSetup& s, const WeightMap& marked, const std::string& path) {
+  auto marked_db = ApplyWeightsToDatabase(s.db, *s.instance, marked);
+  if (!marked_db.ok()) return marked_db.status();
+  return WriteFile(path, TableToCsv(*marked_db.value().Find(s.table_name).ValueOrDie()));
 }
 
 int MarkCsv(const Args& args) {
@@ -510,14 +518,8 @@ int MarkCsv(const Args& args) {
       std::cerr << marked.status() << "\n";
       return kExitError;
     }
-    auto marked_db = ApplyWeightsToDatabase(s.db, *s.instance, marked.value());
-    if (!marked_db.ok()) {
-      std::cerr << marked_db.status() << "\n";
-      return kExitError;
-    }
-    Status written = WriteFile(
-        args.GetOr("out", in.value() + ".marked"),
-        TableToCsv(*marked_db.value().Find(s.table_name).ValueOrDie()));
+    Status written =
+        WriteMarkedCsv(s, marked.value(), args.GetOr("out", in.value() + ".marked"));
     if (!written.ok()) {
       std::cerr << written << "\n";
       return kExitError;
@@ -545,14 +547,7 @@ int MarkCsv(const Args& args) {
   }
   WeightMap marked = wm ? wm->Embed(s.instance->weights, mark.value())
                         : adv.Embed(s.instance->weights, mark.value());
-  auto marked_db = ApplyWeightsToDatabase(s.db, *s.instance, marked);
-  if (!marked_db.ok()) {
-    std::cerr << marked_db.status() << "\n";
-    return kExitError;
-  }
-  std::string out_csv =
-      TableToCsv(*marked_db.value().Find(s.table_name).ValueOrDie());
-  Status written = WriteFile(args.GetOr("out", in.value() + ".marked"), out_csv);
+  Status written = WriteMarkedCsv(s, marked, args.GetOr("out", in.value() + ".marked"));
   if (!written.ok()) {
     std::cerr << written << "\n";
     return kExitError;
