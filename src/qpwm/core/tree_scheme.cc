@@ -13,7 +13,7 @@ AnswerSet HonestTreeServer::Answer(const Tuple& params) const {
   QPWM_CHECK_EQ(params.size(), param_arity_);
   NodeId a = param_arity_ == 1 ? params[0] : 0;
   AnswerSet out;
-  for (NodeId b : EvaluateWa(*t_, *labels_, base_count_, *dta_, param_arity_, a)) {
+  for (NodeId b : eval_.Evaluate(a)) {
     out.push_back({Tuple{b}, weights_.GetElem(b)});
   }
   return out;
@@ -60,16 +60,36 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
 
   // Witness discovery. Fast path: precompute the answer bitmaps of a small
   // shared pool of candidate parameters (root + keyed-random picks); most
-  // pairs find a witness there in O(1). Stragglers fall back to the exact
-  // reverse run (track-swapped automaton: every parameter containing b_plus).
-  // By neutrality, a witness for b_plus outside the region covers b_minus.
+  // pairs find a witness there in O(1). Stragglers take the smallest
+  // parameter outside their region from the exact reverse run
+  // (track-swapped automaton: every parameter containing b_plus). By
+  // neutrality, a witness for b_plus outside the region covers b_minus.
   std::vector<NodeId> region_of(t.size(), kNoNode);
   for (size_t i = 0; i < scheme.regions_.size(); ++i) {
     for (NodeId w : scheme.regions_[i].nodes) region_of[w] = static_cast<NodeId>(i);
   }
 
-  std::vector<std::pair<NodeId, std::vector<bool>>> witness_pool;
-  if (param_arity == 1) {
+  if (param_arity == 0) {
+    for (const MarkRegion& region : scheme.regions_) {
+      // Single (empty) parameter; the active filter already guarantees
+      // membership, but verify defensively.
+      if (region.paired() && MemberWa(t, labels, base_count, dta, 0, 0, region.b_plus)) {
+        scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{}});
+      }
+    }
+    scheme.BuildWitnessPlan();
+    return scheme;
+  }
+
+  using Member = std::pair<NodeId, std::vector<bool>>;  // (parameter, W_a bitmap)
+  const WaEvaluator forward(t, labels, base_count, dta, 1);
+  auto member_of = [&](NodeId a) {
+    Member out{a, std::vector<bool>(t.size(), false)};
+    for (NodeId b : forward.Evaluate(a)) out.second[b] = true;
+    return out;
+  };
+  std::vector<Member> witness_pool;
+  {
     Rng witness_rng(options.key.Derive(0x317).k0);
     std::vector<NodeId> candidates{t.root()};
     for (size_t i = 0; i + 1 < options.witness_attempts; ++i) {
@@ -78,55 +98,59 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    // One full context-DP automaton run per candidate parameter — the
-    // dominant planning cost — computed in parallel; the pool keeps the
-    // candidates' sorted order, so witness probing below is deterministic.
-    std::vector<std::vector<bool>> memberships =
-        ParallelMap<std::vector<bool>>(candidates.size(), [&](size_t i) {
-          std::vector<bool> member(t.size(), false);
-          for (NodeId b : EvaluateWa(t, labels, base_count, dta, 1, candidates[i])) {
-            member[b] = true;
-          }
-          return member;
-        });
-    witness_pool.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      witness_pool.emplace_back(candidates[i], std::move(memberships[i]));
-    }
+    // One automaton run per candidate parameter, computed in parallel; the
+    // pool keeps the candidates' sorted order, so witness probing below is
+    // deterministic.
+    witness_pool = ParallelMap<Member>(candidates.size(),
+                                       [&](size_t i) { return member_of(candidates[i]); });
   }
 
-  Dta swapped = param_arity == 1 ? SwapPebbleTracks(dta, base_count)
-                                 : Dta(0, base_count * 2);
+  // Every straggler's witness is learned with its answer bitmap. A later
+  // straggler whose b_plus a learned witness (outside its region) covers
+  // needs the reverse run only below that witness: the smallest parameter
+  // containing b_plus is at most it. The witness chosen is the same as
+  // with a full reverse run.
+  const Dta swapped = SwapPebbleTracks(dta, base_count);
+  const WaEvaluator reverse(t, labels, base_count, swapped, 1);
+  std::vector<Member> learned;
+  WitnessSearchStats& counts = scheme.witness_stats_;
   for (size_t region_idx = 0; region_idx < scheme.regions_.size(); ++region_idx) {
     const MarkRegion& region = scheme.regions_[region_idx];
     if (!region.paired()) continue;
+    auto outside = [&](NodeId a) { return region_of[a] != static_cast<NodeId>(region_idx); };
 
-    if (param_arity == 0) {
-      // Single (empty) parameter; the active filter already guarantees
-      // membership, but verify defensively.
-      if (MemberWa(t, labels, base_count, dta, 0, 0, region.b_plus)) {
-        scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{}});
-      }
+    auto hit = std::find_if(witness_pool.begin(), witness_pool.end(), [&](const Member& m) {
+      return outside(m.first) && m.second[region.b_plus];
+    });
+    if (hit != witness_pool.end()) {
+      ++counts.pool_hits;
+      scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{hit->first}});
       continue;
     }
 
-    bool found = false;
-    for (const auto& [a, member] : witness_pool) {
-      if (region_of[a] == static_cast<NodeId>(region_idx)) continue;
-      if (member[region.b_plus]) {
-        scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{a}});
-        found = true;
+    const Member* bound = nullptr;
+    for (const Member& m : learned) {
+      if (outside(m.first) && m.second[region.b_plus] &&
+          (bound == nullptr || m.first < bound->first)) {
+        bound = &m;
+      }
+    }
+    ++(bound != nullptr ? counts.learned_hits : counts.fallbacks);
+    NodeId witness = bound != nullptr ? bound->first : kNoNode;
+    for (NodeId a : reverse.EvaluateBelow(region.b_plus, witness)) {
+      if (outside(a)) {
+        witness = a;
         break;
       }
     }
-    if (found) continue;
-
-    for (NodeId a : EvaluateWa(t, labels, base_count, swapped, 1, region.b_plus)) {
-      if (region_of[a] == static_cast<NodeId>(region_idx)) continue;
-      QPWM_CHECK(MemberWa(t, labels, base_count, dta, 1, a, region.b_minus));
-      scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{a}});
-      break;
+    if (witness == kNoNode) continue;
+    if (bound != nullptr && witness == bound->first) {
+      QPWM_CHECK(bound->second[region.b_minus]);
+    } else {
+      QPWM_CHECK(MemberWa(t, labels, base_count, dta, 1, witness, region.b_minus));
+      learned.push_back(member_of(witness));
     }
+    scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{witness}});
   }
   scheme.BuildWitnessPlan();
   return scheme;

@@ -21,6 +21,7 @@
 #include "qpwm/tree/automaton.h"
 #include "qpwm/tree/bintree.h"
 #include "qpwm/tree/decomposition.h"
+#include "qpwm/tree/query.h"
 #include "qpwm/util/bitvec.h"
 #include "qpwm/util/hash.h"
 #include "qpwm/util/status.h"
@@ -46,22 +47,26 @@ class HonestTreeServer : public AnswerServer {
   HonestTreeServer(const BinaryTree& t, const std::vector<uint32_t>& labels,
                    uint32_t base_count, const Dta& dta, uint32_t param_arity,
                    WeightMap weights)
-      : t_(&t),
-        labels_(&labels),
-        base_count_(base_count),
-        dta_(&dta),
+      : eval_(t, labels, base_count, dta, param_arity),
         param_arity_(param_arity),
         weights_(std::move(weights)) {}
 
   AnswerSet Answer(const Tuple& params) const override;
 
  private:
-  const BinaryTree* t_;
-  const std::vector<uint32_t>* labels_;
-  uint32_t base_count_;
-  const Dta* dta_;
+  WaEvaluator eval_;
   uint32_t param_arity_;
   WeightMap weights_;
+};
+
+/// How TreeScheme::Plan found its pairs' witnesses.
+struct WitnessSearchStats {
+  /// Regions whose witness came from the keyed random pool.
+  size_t pool_hits = 0;
+  /// Regions whose reverse run stopped below a witness learned earlier.
+  size_t learned_hits = 0;
+  /// Regions that ran the reverse automaton over every parameter.
+  size_t fallbacks = 0;
 };
 
 /// Planned marker/detector for one (tree, automaton query) instance.
@@ -84,6 +89,7 @@ class TreeScheme : public PairCarrier {
   size_t RegionsPaired() const { return stats_.paired; }
   size_t RegionsUnpaired() const { return stats_.unpaired; }
   const DecompositionStats& stats() const { return stats_; }
+  const WitnessSearchStats& witness_stats() const { return witness_stats_; }
   const std::vector<MarkRegion>& regions() const { return regions_; }
 
   /// Marker: 1-local distortion embedding an l-bit mark.
@@ -125,6 +131,7 @@ class TreeScheme : public PairCarrier {
   TreeSchemeOptions options_;
   std::vector<MarkRegion> regions_;
   DecompositionStats stats_;
+  WitnessSearchStats witness_stats_;
   std::vector<DetectablePair> pairs_;
   // Read slots index into pairs_'s witness layout; valid only while pairs_
   // (declared above, same object) is alive and unmodified after Plan().

@@ -137,6 +137,23 @@ Result<ConjunctiveQuery> ConjunctiveQuery::Parse(std::string_view text) {
   return ConjunctiveQuery(std::move(body), max_param, max_result);
 }
 
+Status ConjunctiveQuery::CheckSignature(const Signature& sig) const {
+  for (const CqAtom& atom : body_) {
+    auto rel = sig.Find(atom.relation);
+    if (!rel.ok()) {
+      return Status::InvalidArgument(StrCat("query atom ", atom.relation,
+                                            " names no relation of the structure"));
+    }
+    const uint32_t arity = sig.symbol(rel.value()).arity;
+    if (arity != atom.terms.size()) {
+      return Status::InvalidArgument(StrCat("query atom ", atom.relation, " has ",
+                                            atom.terms.size(), " term(s) but the relation has arity ",
+                                            arity));
+    }
+  }
+  return Status::OK();
+}
+
 const ConjunctiveQuery::Index& ConjunctiveQuery::GetIndex(const Structure& g) const {
   qpwm::MutexLock lock(*cache_mu_);
   auto [it, inserted] = cache_.try_emplace(&g);

@@ -52,6 +52,11 @@ class ConjunctiveQuery : public ParametricQuery {
   /// every parameter/result index up to the maximum must appear.
   [[nodiscard]] static Result<ConjunctiveQuery> Parse(std::string_view text);
 
+  /// InvalidArgument unless every atom names a relation of `sig` with the
+  /// atom's arity. Evaluating on a structure whose signature fails this
+  /// check aborts.
+  [[nodiscard]] Status CheckSignature(const Signature& sig) const;
+
   uint32_t ParamArity() const override { return r_; }
   uint32_t ResultArity() const override { return s_; }
   std::vector<Tuple> Evaluate(const Structure& g, const Tuple& params) const override;

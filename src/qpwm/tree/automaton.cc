@@ -138,15 +138,21 @@ Dta Dta::Product(const Dta& a, const Dta& b, bool conjunction) {
   }
   const auto num_joint = static_cast<uint32_t>(joint.size());
 
-  // Reachable pairs, interned. The pair (sink_a, sink_b) is the result's
-  // implicit sink and is never interned.
-  std::unordered_map<uint64_t, State> intern;
+  // Reachable pairs, interned through a dense (qa, qb) index (sinks
+  // included); it is no larger than the bigger operand's own table. The
+  // pair (sink_a, sink_b) is the result's implicit sink and is never
+  // interned.
+  constexpr State kNew = UINT32_MAX;
+  const size_t b_states = size_t{b.num_states_} + 1;
+  std::vector<State> intern((size_t{a.num_states_} + 1) * b_states, kNew);
   std::vector<std::pair<State, State>> pairs;
   auto intern_pair = [&](State qa, State qb) -> State {
-    auto [it, inserted] = intern.emplace((static_cast<uint64_t>(qa) << 32) | qb,
-                                         static_cast<State>(pairs.size()));
-    if (inserted) pairs.emplace_back(qa, qb);
-    return it->second;
+    State& id = intern[qa * b_states + qb];
+    if (id == kNew) {
+      id = static_cast<State>(pairs.size());
+      pairs.emplace_back(qa, qb);
+    }
+    return id;
   };
   auto num_pairs = [&] { return static_cast<State>(pairs.size()); };
 
@@ -291,72 +297,87 @@ Dta Dta::Minimize() const {
   reachable[sink()] = true;
   for (size_t i = 1; i < live.size(); ++i) reachable[live[i]] = true;
 
-  // --- Partition refinement. Unreachable states are parked in a throwaway
-  // block that never constrains anything (their transitions are ignored).
+  // --- Partition refinement (Moore). Unreachable states are parked in a
+  // throwaway block that never constrains anything (their transitions are
+  // ignored). Each round splits every block by its states' role rows: the
+  // blocks of q's targets as a child of every class and live partner, left
+  // and right, in one fixed order. The fixpoint is the coarsest partition
+  // that separates accepting from rejecting states and is a congruence:
+  // language equivalence on the reachable states.
   std::vector<uint32_t> block(n);
   for (State q = 0; q < n; ++q) {
     block[q] = !reachable[q] ? 2u : (accepting_[q] ? 1u : 0u);
   }
   size_t num_blocks = 3;
 
-  // A state's signature: the sorted set of its roles as a child of a live
-  // transition, packed as (class << 1 | side, partner block + 1 or 0 for an
-  // absent partner, target block) in 22 + 21 + 21 bits. Targets in the
-  // sink's block are skipped: those are indistinguishable from missing
-  // transitions.
-  std::vector<uint64_t> sig;
-  auto signature = [&](State q) {
-    sig.clear();
-    if (q == sink()) return;  // the sink is never a stored child
-    const uint32_t sink_block = block[sink()];
-    for (State partner : live) {
-      const uint64_t pb = partner == kAbsentChild ? 0 : block[partner] + 1;
+  // The role targets, copied once: one contiguous row per reachable state,
+  // ordered by (class, side, live partner). Every step of the sink stays in
+  // the sink, so its row is all sink.
+  const size_t partners = live.size();
+  const size_t row_size = size_t{num_classes_} * 2 * partners;
+  std::vector<size_t> role_row(n, 0);
+  std::vector<State> roles(partners * row_size, sink());
+  role_row[sink()] = (partners - 1) * row_size;
+  for (size_t k = 1; k < partners; ++k) {
+    const State q = live[k];
+    role_row[q] = (k - 1) * row_size;
+    State* row = roles.data() + role_row[q];
+    // Partner-major, so that each (q, partner) read runs over contiguous
+    // classes.
+    for (size_t i = 0; i < partners; ++i) {
+      const State* as_left = &delta_[Slot(q, live[i], 0)];
+      const State* as_right = &delta_[Slot(live[i], q, 0)];
       for (uint32_t cls = 0; cls < num_classes_; ++cls) {
-        const State as_left = delta_[Slot(q, partner, cls)];
-        const State as_right = delta_[Slot(partner, q, cls)];
-        if (block[as_left] != sink_block) {
-          sig.push_back((uint64_t{cls} << 43) | (pb << 21) | block[as_left]);
-        }
-        if (block[as_right] != sink_block) {
-          sig.push_back((uint64_t{cls} << 43) | (uint64_t{1} << 42) | (pb << 21) |
-                        block[as_right]);
-        }
+        row[(2 * size_t{cls}) * partners + i] = as_left[cls];
+        row[(2 * size_t{cls} + 1) * partners + i] = as_right[cls];
       }
     }
-    std::sort(sig.begin(), sig.end());
-    sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-  };
+  }
 
+  std::vector<uint32_t> block_size;
+  std::vector<uint32_t> row(row_size);  // the current state's target blocks
   for (;;) {
     // New block ids by first appearance in state order; exact matching of
-    // (block, signature) against each new block's first state, behind a
-    // hash.
+    // (block, row) against the rows of the new blocks' first states, behind
+    // a hash. A state alone in its block cannot split, so it skips its row.
     std::unordered_multimap<uint64_t, uint32_t> by_hash;
     std::vector<uint32_t> rep_block;  // new block -> old block
-    std::vector<uint64_t> rep_sig;    // new blocks' signatures, flat
-    std::vector<size_t> rep_begin{0};
+    std::vector<uint32_t> rep_rows;   // rows of the hashed new blocks, flat
+    std::vector<size_t> rep_row;      // new block -> offset in rep_rows
     std::vector<uint32_t> next(n);
+    block_size.assign(num_blocks, 0);
+    for (State q = 0; q < n; ++q) block_size[block[q]] += reachable[q] ? 1 : 0;
     for (State q = 0; q < n; ++q) {
       if (!reachable[q]) continue;
-      signature(q);
-      const uint64_t h =
-          HashCombine(block[q], HashBytes(sig.data(), sig.size() * sizeof(uint64_t)));
       uint32_t id = UINT32_MAX;
-      auto [first, last] = by_hash.equal_range(h);
-      for (auto it = first; it != last && id == UINT32_MAX; ++it) {
-        const uint32_t b = it->second;
-        if (rep_block[b] == block[q] &&
-            std::equal(sig.begin(), sig.end(), rep_sig.begin() + rep_begin[b],
-                       rep_sig.begin() + rep_begin[b + 1])) {
-          id = b;
+      const bool shared = block_size[block[q]] > 1;
+      uint64_t h = block[q];
+      if (shared) {
+        // Four independent lanes keep the hash off the critical path.
+        const State* targets = roles.data() + role_row[q];
+        uint64_t lane[4] = {h, 0, 0, 0};
+        for (size_t k = 0; k < row_size; ++k) {
+          row[k] = block[targets[k]];
+          lane[k % 4] = lane[k % 4] * 0x9E3779B97F4A7C15ULL + row[k];
+        }
+        h = HashCombine(HashCombine(lane[0], lane[1]), HashCombine(lane[2], lane[3]));
+        auto [first, last] = by_hash.equal_range(h);
+        for (auto it = first; it != last && id == UINT32_MAX; ++it) {
+          const uint32_t b = it->second;
+          if (rep_block[b] == block[q] &&
+              std::equal(row.begin(), row.end(), rep_rows.begin() + rep_row[b])) {
+            id = b;
+          }
         }
       }
       if (id == UINT32_MAX) {
         id = static_cast<uint32_t>(rep_block.size());
         rep_block.push_back(block[q]);
-        rep_sig.insert(rep_sig.end(), sig.begin(), sig.end());
-        rep_begin.push_back(rep_sig.size());
-        by_hash.emplace(h, id);
+        rep_row.push_back(rep_rows.size());
+        if (shared) {
+          by_hash.emplace(h, id);
+          rep_rows.insert(rep_rows.end(), row.begin(), row.end());
+        }
       }
       next[q] = id;
     }

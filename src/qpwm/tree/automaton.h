@@ -92,6 +92,9 @@ class Dta {
   }
   bool IsAccepting(State q) const { return accepting_[q]; }
 
+  /// Class of symbol `sym`.
+  uint32_t ClassOf(uint32_t sym) const { return symbol_class_[sym]; }
+
   /// delta with sink absorption and missing transition -> sink.
   State Step(State left, State right, uint32_t sym) const {
     return StepClass(left, right, symbol_class_[sym]);

@@ -125,10 +125,24 @@ std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
       }
     }
 
-    std::unordered_map<NodeId, size_t> hole_index;
-    for (size_t h = 0; h < holes.size(); ++h) hole_index.emplace(holes[h], h);
-    std::unordered_map<NodeId, size_t> node_index;
-    for (size_t i = 0; i < nodes.size(); ++i) node_index.emplace(nodes[i], i);
+    // Child slots of each region node, resolved once: a region node's index,
+    // nodes.size() + h for hole h, or kAbsent. `state` holds the region
+    // nodes' states followed by the holes' states of the current combo.
+    constexpr uint32_t kAbsent = UINT32_MAX;
+    std::unordered_map<NodeId, uint32_t> slot_of;
+    for (size_t i = 0; i < nodes.size(); ++i) slot_of.emplace(nodes[i], static_cast<uint32_t>(i));
+    for (size_t h = 0; h < holes.size(); ++h) {
+      slot_of.emplace(holes[h], static_cast<uint32_t>(nodes.size() + h));
+    }
+    auto slot = [&](NodeId c) { return c == kNoNode ? kAbsent : slot_of.at(c); };
+    std::vector<uint32_t> left_slot(nodes.size()), right_slot(nodes.size());
+    std::vector<uint32_t> sym(nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      left_slot[i] = slot(t.left(nodes[i]));
+      right_slot[i] = slot(t.right(nodes[i]));
+      sym[i] = SymbolAt(labels[nodes[i]], base_count, param_arity, false, false);
+    }
+    const uint32_t root_slot = slot_of.at(v);
 
     // Candidate order is keyed: the attacker cannot predict which collision
     // pair carries the bit.
@@ -139,24 +153,19 @@ std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
     rng.Shuffle(candidates);
 
     std::map<std::vector<State>, NodeId> seen;
-    std::vector<State> state(nodes.size());
+    std::vector<State> state(nodes.size() + holes.size());
+    auto at = [&](uint32_t c) { return c == kAbsent ? kAbsentChild : state[c]; };
     for (NodeId b : candidates) {
+      const uint32_t b_slot = slot_of.at(b);
+      const uint32_t b_sym = SymbolAt(labels[b], base_count, param_arity, false, true);
       std::vector<State> signature;
       signature.reserve(combos.size());
       for (const auto& combo : combos) {
+        std::copy(combo.begin(), combo.end(), state.begin() + nodes.size());
         for (size_t i = 0; i < nodes.size(); ++i) {
-          NodeId w = nodes[i];
-          auto child_state = [&](NodeId c) -> State {
-            if (c == kNoNode) return kAbsentChild;
-            auto hit = hole_index.find(c);
-            if (hit != hole_index.end()) return combo[hit->second];
-            return state[node_index.at(c)];
-          };
-          uint32_t sym =
-              SymbolAt(labels[w], base_count, param_arity, false, w == b);
-          state[i] = dta.Step(child_state(t.left(w)), child_state(t.right(w)), sym);
+          state[i] = dta.Step(at(left_slot[i]), at(right_slot[i]), i == b_slot ? b_sym : sym[i]);
         }
-        signature.push_back(state[node_index.at(v)]);
+        signature.push_back(state[root_slot]);
       }
       auto [it, inserted] = seen.emplace(std::move(signature), b);
       if (!inserted) {

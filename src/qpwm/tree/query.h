@@ -1,9 +1,11 @@
 // Automaton-defined parametric queries on weighted trees (Section 4):
 // W_a = B(a, T) = { b : B accepts T_ab }.
 //
-// EvaluateWa computes one whole answer set in O(n * m) with a two-pass
-// context DP (bottom-up states with the parameter pebble placed, then a
-// top-down acceptance-context table), instead of the naive O(n^2) reruns.
+// WaEvaluator computes one whole answer set with a two-pass context DP
+// (bottom-up states with the parameter pebble placed, then top-down
+// acceptance contexts), instead of the naive O(n^2) reruns. Contexts are
+// interned state sets and a child's context is memoized per call, so a pass
+// costs O(n) lookups plus O(m) per distinct context step, not O(n * m).
 // Pebble track convention: track 0 = parameter a (if any), track 1 (or 0
 // when there is no parameter) = result b.
 #ifndef QPWM_TREE_QUERY_H_
@@ -25,7 +27,44 @@ bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
               uint32_t base_count, const Dta& dta, uint32_t param_arity, NodeId a,
               NodeId b);
 
-/// Full answer set W_a (sorted node ids), via the context DP.
+/// Answer sets W_a of one automaton query over one tree, for many
+/// parameters. Construction runs the pebble-free bottom-up pass once; each
+/// call then reruns the bottom-up states only where the parameter pebble
+/// changes them (on a's ancestors), and fills the top-down contexts with a
+/// per-call memo of (parent context, sibling state, symbol class, side) ->
+/// child context. Calls are const and keep their scratch to themselves, so
+/// one evaluator serves concurrent callers. The tree, labels and automaton
+/// are captured by reference and must outlive the evaluator.
+class WaEvaluator {
+ public:
+  WaEvaluator(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
+              uint32_t base_count, const Dta& dta, uint32_t param_arity);
+
+  /// W_a (sorted node ids). `a` places no pebble when param_arity is 0 or
+  /// when it is not a node of the tree.
+  std::vector<NodeId> Evaluate(NodeId a) const;
+
+  /// The members of W_a below `limit` (sorted). When every parent's id is
+  /// below its children's (the XML encoding and the tree generators number
+  /// nodes so), the context pass visits only ids below `limit`.
+  std::vector<NodeId> EvaluateBelow(NodeId a, NodeId limit) const;
+
+ private:
+  uint32_t SymbolClass(NodeId v, bool a_here, bool b_here) const;
+
+  const BinaryTree* t_;
+  const std::vector<uint32_t>* labels_;
+  uint32_t base_count_;
+  const Dta* dta_;
+  uint32_t param_arity_;
+  std::vector<State> free_;         // pebble-free bottom-up state per node
+  std::vector<uint32_t> free_cls_;  // class of the pebble-free symbol
+  std::vector<State> b_state_;      // state with the result pebble only
+  bool parents_first_ = true;       // every parent id < its children's ids
+};
+
+/// Full answer set W_a (sorted node ids): one WaEvaluator call. Build a
+/// WaEvaluator instead when evaluating several parameters.
 std::vector<NodeId> EvaluateWa(const BinaryTree& t,
                                const std::vector<uint32_t>& base_labels,
                                uint32_t base_count, const Dta& dta,

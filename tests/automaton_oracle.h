@@ -84,8 +84,11 @@ inline std::vector<std::tuple<State, State, uint32_t, State>> PerSymbolTransitio
   return out;
 }
 
-/// Per-symbol partition refinement with exact (side, symbol, partner block,
-/// target block) signatures; block ids by first appearance in state order.
+/// Per-symbol partition refinement with exact (side, symbol, partner state,
+/// target block) signatures, targets in the sink's block left out; block ids
+/// by first appearance in state order. Keying roles by the partner state
+/// (not its block) makes the fixpoint a congruence, hence language
+/// equivalence.
 inline Dta Minimize(const Dta& d) {
   const uint32_t n = d.num_states() + 1;
   const State sink = d.sink();
@@ -110,8 +113,8 @@ inline Dta Minimize(const Dta& d) {
     std::vector<std::vector<Sig>> sig(n);
     for (const auto& [l, r, sym, to] : trans) {
       if (!ok(l) || !ok(r) || cls[to] == sink_cls) continue;
-      uint32_t lc = l == kAbsentChild ? UINT32_MAX : cls[l];
-      uint32_t rc = r == kAbsentChild ? UINT32_MAX : cls[r];
+      uint32_t lc = l == kAbsentChild ? UINT32_MAX : l;
+      uint32_t rc = r == kAbsentChild ? UINT32_MAX : r;
       if (l != kAbsentChild) sig[l].emplace_back(0, sym, rc, cls[to]);
       if (r != kAbsentChild) sig[r].emplace_back(1, sym, lc, cls[to]);
     }

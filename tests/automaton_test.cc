@@ -253,6 +253,29 @@ TEST_P(AutomatonPropertyTest, MinimizeMatchesPerSymbolOracle) {
   }
 }
 
+// x and y, and u and v, have the same roles up to the block of the partner:
+// node(x, u) and node(y, v) accept, node(x, v) and node(y, u) reach a dead
+// state. A refinement keyed by partner blocks alone merges x with y and u
+// with v, and then accepts node(x, v).
+TEST(DtaTest, MinimizeKeepsCrossedPartnersApart) {
+  enum : uint32_t { kLeafX, kLeafY, kLeafU, kLeafV, kNode };
+  enum : State { x, y, u, v, accept, dead };
+  Dta d(6, 5);
+  d.AddTransition(kAbsentChild, kAbsentChild, kLeafX, x);
+  d.AddTransition(kAbsentChild, kAbsentChild, kLeafY, y);
+  d.AddTransition(kAbsentChild, kAbsentChild, kLeafU, u);
+  d.AddTransition(kAbsentChild, kAbsentChild, kLeafV, v);
+  d.AddTransition(x, u, kNode, accept);
+  d.AddTransition(x, v, kNode, dead);
+  d.AddTransition(y, u, kNode, dead);
+  d.AddTransition(y, v, kNode, accept);
+  d.SetAccepting(accept, true);
+  Dta m = d.Minimize();
+  EXPECT_TRUE(Dta::Equivalent(d, m));
+  EXPECT_EQ(m.num_states(), 5u);  // only the dead state joins the sink
+  oracle::ExpectSameAutomaton(m, oracle::Minimize(d));
+}
+
 TEST_P(AutomatonPropertyTest, ProjectionIsExistsOverTheTrack) {
   // T is accepted after projection iff some assignment of the projected bit
   // to T's nodes is accepted before it.

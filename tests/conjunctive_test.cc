@@ -34,6 +34,16 @@ TEST(CqParseTest, Errors) {
   EXPECT_FALSE(ConjunctiveQuery::Parse("E(u1, v1) E(v1, v1)").ok());
 }
 
+TEST(CqParseTest, SignatureMismatchIsAStatus) {
+  Signature sig;
+  sig.AddRelation("Sales", 2);
+  EXPECT_TRUE(ConjunctiveQuery::Parse("Sales(v1, u1)").ValueOrDie().CheckSignature(sig).ok());
+  const Status arity = ConjunctiveQuery::Parse("Sales(v1)").ValueOrDie().CheckSignature(sig);
+  EXPECT_EQ(arity.code(), StatusCode::kInvalidArgument);
+  const Status unknown = ConjunctiveQuery::Parse("Foo(u1, v1)").ValueOrDie().CheckSignature(sig);
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CqEvalTest, MatchesFormulaQueryOnTwoHop) {
   Rng rng(11);
   Structure g = RandomBoundedDegreeGraph(40, 3, 100, false, rng);

@@ -6,9 +6,31 @@
 #include "qpwm/tree/mso.h"
 #include "qpwm/tree/query.h"
 #include "qpwm/util/random.h"
+#include "tree_oracle.h"
 
 namespace qpwm {
 namespace {
+
+// A random automaton: each (left, right, symbol) transition exists with
+// probability 3/4 and goes to a uniform state; accepting flags are coins.
+Dta RandomDta(uint32_t states, uint32_t alphabet, Rng& rng) {
+  Dta dta(states, alphabet);
+  auto children = [&](auto&& fn) {
+    fn(kAbsentChild);
+    for (State q = 0; q < states; ++q) fn(q);
+  };
+  children([&](State l) {
+    children([&](State r) {
+      for (uint32_t sym = 0; sym < alphabet; ++sym) {
+        if (rng.Below(4) != 0) {
+          dta.AddTransition(l, r, sym, static_cast<State>(rng.Below(states)));
+        }
+      }
+    });
+  });
+  for (State q = 0; q <= states; ++q) dta.SetAccepting(q, rng.Coin());
+  return dta;
+}
 
 class TreeQueryTest : public ::testing::Test {
  protected:
@@ -40,6 +62,51 @@ TEST_F(TreeQueryTest, EvaluateWaMatchesMemberWa) {
       }
     }
   }
+}
+
+// The memoized evaluator against the dense context DP: random trees (some
+// with shuffled ids), random automata with 1..12 and 70 states (context
+// rows of one and two words), parameter arity 0 and 1, the forward and the
+// track-swapped automaton, whole answer sets and answer prefixes.
+TEST_F(TreeQueryTest, WaEvaluatorMatchesDenseOracle) {
+  Rng rng(31);
+  size_t members = 0;
+  size_t nonempty = 0;
+  for (int trial = 0; trial < 36; ++trial) {
+    const uint32_t arity = trial % 2;
+    const uint32_t states = trial % 3 == 0 ? 70 : 1 + static_cast<uint32_t>(rng.Below(12));
+    std::vector<Dta> automata;
+    automata.push_back(RandomDta(states, 3u << (arity + 1), rng));
+    if (arity == 1) {
+      automata.push_back(SwapPebbleTracks(automata[0], 3));
+      automata.push_back(CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"}));
+      automata.push_back(SwapPebbleTracks(automata.back(), 3));
+    }
+    BinaryTree t = RandomBinaryTree(1 + rng.Below(60), 3, rng);
+    if (trial % 4 == 3) t = oracle::ShuffledIds(t, rng);
+    for (const Dta& dta : automata) {
+      WaEvaluator eval(t, t.labels(), 3, dta, arity);
+      const NodeId params = arity == 1 ? static_cast<NodeId>(t.size()) : 1;
+      for (NodeId a = 0; a < params; ++a) {
+        const std::vector<NodeId> expect = oracle::DenseEvaluateWa(t, t.labels(), 3, dta, arity, a);
+        ASSERT_EQ(eval.Evaluate(a), expect) << "trial " << trial << " a=" << a;
+        const auto limit = static_cast<NodeId>(rng.Below(t.size() + 2));
+        std::vector<NodeId> below;
+        for (NodeId b : expect) {
+          if (b < limit) below.push_back(b);
+        }
+        ASSERT_EQ(eval.EvaluateBelow(a, limit), below)
+            << "trial " << trial << " a=" << a << " limit=" << limit;
+        members += expect.size();
+        nonempty += expect.empty() ? 0 : 1;
+      }
+      EXPECT_EQ(EvaluateWa(t, t.labels(), 3, dta, arity, 0),
+                oracle::DenseEvaluateWa(t, t.labels(), 3, dta, arity, 0));
+    }
+  }
+  // The automata select something: the comparison is not over empty sets.
+  EXPECT_GT(nonempty, 100u);
+  EXPECT_GT(members, 1000u);
 }
 
 TEST_F(TreeQueryTest, EvaluateWaSemantics) {

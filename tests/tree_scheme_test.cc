@@ -5,6 +5,7 @@
 #include "qpwm/tree/mso.h"
 #include "qpwm/tree/query.h"
 #include "qpwm/util/random.h"
+#include "tree_oracle.h"
 
 namespace qpwm {
 namespace {
@@ -177,6 +178,50 @@ TEST_F(TreeSchemeTest, DetectorSeesTamperedStructure) {
                          WeightMap(1, other.size()));
   auto result = scheme.Detect(w, bogus);
   EXPECT_FALSE(result.ok());
+}
+
+// With a one-parameter pool (the root), most regions miss the pool, so the
+// planner runs the reverse automaton and reuses what it learns. The pairs
+// and every witness must be those of the planner that ran a full reverse
+// scan per miss, and both nodes of each pair must be in the witness's
+// answer set. Shuffled ids and the descendant query make a learned witness
+// often not the smallest one covering a later straggler.
+TEST_F(TreeSchemeTest, PoolMissesKeepTheFullScanWitnesses) {
+  const char* queries[] = {
+      "LEQ(u, v) & P_b(v)",
+      "LEQ(u, v) & P_b(v) & P_a(u)",
+      "LEQ(u, v) & P_b(v) & exists w (CHILD(v, w) & P_a(w))",
+      "LEQ(v, u) & P_b(v)",
+  };
+  Rng rng(57);
+  WitnessSearchStats total;
+  for (const char* text : queries) {
+    Dta dta = CompileMso(*MustParseFormula(text), sigma_, {"u", "v"}).ValueOrDie().dta;
+    for (size_t trial = 0; trial < 6; ++trial) {
+      BinaryTree t = RandomBinaryTree(200 + rng.Below(1200), 3, rng);
+      if (trial % 2 == 1) t = oracle::ShuffledIds(t, rng);
+      TreeSchemeOptions opts = Options();
+      opts.key = {trial + 1, rng.Next()};
+      opts.witness_attempts = 1;
+      auto scheme = TreeScheme::Plan(t, t.labels(), 3, dta, 1, opts).ValueOrDie();
+      const auto pairs = oracle::SchemePairs(scheme);
+      EXPECT_EQ(pairs, oracle::PlanPairs(t, t.labels(), 3, dta, 1, opts))
+          << text << " trial " << trial;
+      for (const auto& [plus, minus, witness] : pairs) {
+        EXPECT_TRUE(MemberWa(t, t.labels(), 3, dta, 1, witness, plus));
+        EXPECT_TRUE(MemberWa(t, t.labels(), 3, dta, 1, witness, minus));
+      }
+      const WitnessSearchStats& s = scheme.witness_stats();
+      EXPECT_LE(s.pool_hits + s.learned_hits + s.fallbacks, scheme.RegionsPaired());
+      total.pool_hits += s.pool_hits;
+      total.learned_hits += s.learned_hits;
+      total.fallbacks += s.fallbacks;
+    }
+  }
+  // Every kind of witness search ran.
+  EXPECT_GT(total.pool_hits, 0u);
+  EXPECT_GT(total.learned_hits, 0u);
+  EXPECT_GT(total.fallbacks, 0u);
 }
 
 TEST_F(TreeSchemeTest, ChainTreesWork) {

@@ -23,6 +23,7 @@
 // Exit codes: 0 = ok (mark found / full match), 1 = no mark found (recovered
 // bits contradict --mark), 2 = I/O, parse or usage error, 3 = partial
 // detection below threshold (erasures present or margin < --min-margin).
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -147,6 +148,16 @@ Result<std::vector<ColumnSpec>> ParseSchema(const std::string& text) {
     }
   }
   if (out.empty()) return Status::InvalidArgument("empty --schema");
+  for (const ColumnSpec& col : out) {
+    if (col.role != ColumnRole::kWeight) continue;
+    const bool names_key = std::any_of(out.begin(), out.end(), [&](const ColumnSpec& c) {
+      return c.role == ColumnRole::kKey && c.name == col.weight_of;
+    });
+    if (!names_key) {
+      return Status::InvalidArgument("weight column '" + col.name + "' is of '" +
+                                     col.weight_of + "', which is not a key column of --schema");
+    }
+  }
   return out;
 }
 
@@ -444,6 +455,8 @@ Result<CsvSetup> SetupCsv(const Args& args, const std::string& csv_path) {
   auto query = ConjunctiveQuery::Parse(query_text.value());
   if (!query.ok()) return query.status();
   setup.query = std::make_unique<ConjunctiveQuery>(std::move(query).value());
+  Status fits = setup.query->CheckSignature(setup.instance->structure.signature());
+  if (!fits.ok()) return fits;
 
   // Parameter domain: all values of --param-column, or the full universe.
   std::vector<Tuple> domain;
